@@ -4,11 +4,14 @@
 //! AM-DGCNN GAT) trains the same configuration three times with identical
 //! seeds and bit-identical parameter initialization:
 //!
-//! 1. **batched** — the block-diagonal packed sparse forward
-//!    (`TrainConfig::batched = true`): one g-SpMM/g-SDDMM pass per
-//!    minibatch over the packed [`amdgcnn_nn::BlockDiagGraph`] CSR.
-//! 2. **per_sample** — the same sparse kernels, one tape per sample
-//!    (`batched = false`).
+//! 1. **batched** — [`DgcnnModel`]'s block-diagonal packed sparse
+//!    forward: one g-SpMM/g-SDDMM pass per minibatch over the packed
+//!    [`amdgcnn_nn::BlockDiagGraph`] CSR.
+//! 2. **per_sample** — the same sparse kernels run sample by sample:
+//!    a bench-local wrapper implements only
+//!    [`LinkModel::forward_sample`], so the trainer's
+//!    [`LinkModel::forward_batch`] falls back to the trait's default
+//!    per-sample loop.
 //! 3. **dense** — the dense per-sample formulation this PR replaced:
 //!    for GCN the full normalized-adjacency matmul (`Â·(H·W)` with `Â`
 //!    materialized `[N, N]`, multiplied through the dense reference GEMM
@@ -17,12 +20,12 @@
 //!    optimization and would hide most of the dense formulation's work),
 //!    for GAT the per-edge gather/concat attention
 //!    (`gather_rows` → `concat_cols` → `matmul` → `segment_softmax` →
-//!    `mul_col_broadcast` → `scatter_add_rows`), each on an unbatched
-//!    tape. Parameters are registered through the very same constructor
-//!    sequence as [`DgcnnModel::new`], so the initial weights match
-//!    bit-for-bit; per-sample operands (dense `Â`, usize endpoint lists)
-//!    are precomputed outside the measured span, exactly as the old
-//!    `PreparedSample` precomputed them.
+//!    `mul_col_broadcast` → `scatter_add_rows`), each run sample by
+//!    sample like **per_sample**. Parameters are registered through the
+//!    very same constructor sequence as [`DgcnnModel::new`], so the
+//!    initial weights match bit-for-bit; per-sample operands (dense
+//!    `Â`, usize endpoint lists) are precomputed outside the measured
+//!    span, exactly as the old `PreparedSample` precomputed them.
 //!
 //! The enclosing subgraphs are extracted **uncapped** (the dataset's
 //! `max_nodes_per_hop` guard is lifted) so the bench exercises the
@@ -38,8 +41,8 @@
 //!   reduction sum in different orders).
 //! * **Loss trajectory** — same seed, same data order. Epoch-1 losses
 //!   must agree to ≤2e-3 and later epochs to ≤0.2; gradients are only
-//!   tolerance-equal (reductions regroup float sums across the batch —
-//!   see `TrainConfig::batched`), and SortPooling's discontinuous row
+//!   tolerance-equal (the packed backward sums per-sample contributions
+//!   in a different order), and SortPooling's discontinuous row
 //!   selection amplifies 1-ulp weight drift across epochs, so exact
 //!   trajectory equality is not expected. The observed maxima are
 //!   recorded in the output.
@@ -382,6 +385,27 @@ impl LinkModel for DenseBaseline {
     }
 }
 
+/// [`DgcnnModel`] forwarded one sample at a time: only
+/// [`LinkModel::forward_sample`] is implemented, so
+/// [`LinkModel::forward_batch`] is the trait's per-sample default.
+struct PerSample(DgcnnModel);
+
+impl LinkModel for PerSample {
+    fn forward_sample(
+        &self,
+        tape: &mut Tape,
+        ps: &ParamStore,
+        sample: &PreparedSample,
+        dropout_rng: Option<&mut StdRng>,
+    ) -> Var {
+        self.0.forward_sample(tape, ps, sample, dropout_rng)
+    }
+
+    fn num_classes(&self) -> usize {
+        self.0.num_classes()
+    }
+}
+
 struct RunResult {
     losses: Vec<f32>,
     forward_ns: u64,
@@ -390,7 +414,6 @@ struct RunResult {
 
 fn run_with<M: LinkModel>(
     samples: &[PreparedSample],
-    batched: bool,
     build: impl FnOnce(&mut ParamStore, &mut StdRng) -> M,
 ) -> RunResult {
     let obs = Obs::enabled();
@@ -400,7 +423,6 @@ fn run_with<M: LinkModel>(
     let mut trainer = Trainer::new(TrainConfig {
         lr: 5e-3,
         seed: SEED,
-        batched,
         ..Default::default()
     })
     .with_obs(obs.clone());
@@ -479,13 +501,11 @@ fn bench_variant(
 ) -> VariantResult {
     let (batched_forward_bit_identical, dense_forward_max_diff) = forward_identity(samples, cfg);
 
-    let batched = run_with(samples, true, |ps, rng| {
-        DgcnnModel::new(cfg.clone(), ps, rng)
+    let batched = run_with(samples, |ps, rng| DgcnnModel::new(cfg.clone(), ps, rng));
+    let per_sample = run_with(samples, |ps, rng| {
+        PerSample(DgcnnModel::new(cfg.clone(), ps, rng))
     });
-    let per_sample = run_with(samples, false, |ps, rng| {
-        DgcnnModel::new(cfg.clone(), ps, rng)
-    });
-    let dense = run_with(samples, false, |ps, rng| {
+    let dense = run_with(samples, |ps, rng| {
         DenseBaseline::new(cfg.clone(), ps, rng, samples)
     });
 

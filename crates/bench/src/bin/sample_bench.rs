@@ -1,5 +1,5 @@
 //! Sample-preparation benchmark: cold tensorization vs. the persistent
-//! CRC-guarded sample store, plus the pipelined prefetch path.
+//! CRC-guarded sample store.
 //!
 //! ```text
 //! cargo run --release -p amdgcnn-bench --bin sample_bench
@@ -14,11 +14,10 @@
 //!
 //! The benchmark measures, on the paper's WN18-like default graph:
 //! 1. cold serial preparation of a fixed link batch,
-//! 2. the same batch through the bounded prefetch pipeline,
-//! 3. store flush cost and file size,
-//! 4. warm-store open + decode of every sample, asserted field-for-field
+//! 2. store flush cost and file size,
+//! 3. warm-store open + decode of every sample, asserted field-for-field
 //!    bit-identical to the cold batch,
-//! 5. an experiment-level cold-vs-warm session build with prep-amortized
+//! 4. an experiment-level cold-vs-warm session build with prep-amortized
 //!    epoch times, asserted bit-identical on evaluation metrics, with
 //!    store hit/miss counters proving the warm run prepared nothing.
 //!
@@ -28,8 +27,8 @@
 //! `AMDGCNN_TIMING_OUT` when set.
 
 use am_dgcnn::{
-    prepare_batch, prepare_batch_pipelined, Experiment, FeatureConfig, GnnKind, Hyperparams,
-    PrefetchConfig, PreparedSample, SampleStore, StoreKey,
+    prepare_batch, Experiment, FeatureConfig, GnnKind, Hyperparams, PreparedSample, SampleStore,
+    StoreKey,
 };
 use amdgcnn_bench::obs_report::{timing_out_from_env, write_timing_report};
 use amdgcnn_data::{wn18_like, Wn18Config};
@@ -39,8 +38,6 @@ use std::time::{Duration, Instant};
 
 /// Links prepared in the micro comparison (a training-epoch-sized batch).
 const PREP_SAMPLES: usize = 600;
-/// Prefetch workers for the pipelined measurement.
-const WORKERS: usize = 4;
 /// Training subset for the experiment-level comparison.
 const TRAIN_SUBSET: usize = 120;
 /// Epochs the experiment-level comparison amortizes preparation over.
@@ -139,28 +136,7 @@ fn main() {
     drop(cold_samples);
     drop(warm_store);
 
-    // 4. The bounded prefetch pipeline (bit-identical by the determinism
-    // harness; here we just time it — on a single hardware thread it
-    // tracks the serial path, on real machines it overlaps producers).
-    let (pipelined_prep, pipelined) = best_of(|| {
-        prepare_batch_pipelined(
-            &ds,
-            links,
-            &fcfg,
-            &Obs::disabled(),
-            PrefetchConfig {
-                workers: WORKERS,
-                capacity: 8,
-            },
-            None,
-            None,
-        )
-    });
-    assert_eq!(pipelined.len(), PREP_SAMPLES);
-    drop(pipelined);
-    println!("pipelined prep     : {pipelined_prep:>9.2?} ({WORKERS} workers)");
-
-    // 5. Experiment-level: cold session build (prepares and persists every
+    // 4. Experiment-level: cold session build (prepares and persists every
     // train + eval sample) vs. warm session build (hits the store for all
     // of them), both trained for EPOCHS and compared on metrics.
     let exp_path = scratch.join("experiment.amss");
@@ -175,7 +151,6 @@ fn main() {
             .hyper(hyper)
             .seed(17)
             .sample_store(&exp_path)
-            .prefetch(2)
             .observe(obs)
             .build()
     };
@@ -231,11 +206,9 @@ fn main() {
             "{{\n",
             "  \"bench\": \"sample_bench\",\n",
             "  \"prep_samples\": {},\n",
-            "  \"prefetch_workers\": {},\n",
             "  \"train_subset\": {},\n",
             "  \"epochs\": {},\n",
             "  \"cold_prep_ns\": {},\n",
-            "  \"pipelined_prep_ns\": {},\n",
             "  \"store\": {{ \"flush_ns\": {}, \"file_bytes\": {}, ",
             "\"warm_open_ns\": {}, \"warm_decode_ns\": {} }},\n",
             "  \"experiment\": {{ \"cold_session_ns\": {}, \"warm_session_ns\": {}, ",
@@ -248,11 +221,9 @@ fn main() {
             "}}\n"
         ),
         PREP_SAMPLES,
-        WORKERS,
         TRAIN_SUBSET,
         EPOCHS,
         cold_prep.as_nanos(),
-        pipelined_prep.as_nanos(),
         flush.as_nanos(),
         file_bytes,
         warm_open.as_nanos(),

@@ -95,11 +95,6 @@ pub struct FaultPlan {
     /// destination file never changes and a stale `.tmp` is left behind
     /// (a crash before commit).
     pub partial_flush_saves: Vec<u64>,
-    /// Panic the prefetch worker on its *first attempt* at these 0-based
-    /// sample indices (positions within the batch being prepared). The
-    /// supervisor respawns the worker and the retry runs clean, so the
-    /// pipeline's output must still be bit-identical to the serial path.
-    pub prefetch_panic_samples: Vec<usize>,
 }
 
 impl FaultPlan {
@@ -139,7 +134,6 @@ pub struct FaultInjector {
     plan: FaultPlan,
     calls: AtomicU64,
     saves: AtomicU64,
-    prefetch_fired: Mutex<Vec<usize>>,
     rng: Mutex<StdRng>,
 }
 
@@ -151,27 +145,7 @@ impl FaultInjector {
             plan,
             calls: AtomicU64::new(0),
             saves: AtomicU64::new(0),
-            prefetch_fired: Mutex::new(Vec::new()),
             rng: Mutex::new(rng),
-        }
-    }
-
-    /// Should the prefetch worker preparing the 0-based sample `index`
-    /// panic? Fires at most once per index — the respawned worker's retry
-    /// of the same sample runs clean, modelling a transient worker crash.
-    pub fn prefetch_panic(&self, index: usize) -> bool {
-        if !self.plan.prefetch_panic_samples.contains(&index) {
-            return false;
-        }
-        let mut fired = self
-            .prefetch_fired
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        if fired.contains(&index) {
-            false
-        } else {
-            fired.push(index);
-            true
         }
     }
 

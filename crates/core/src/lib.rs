@@ -24,12 +24,11 @@ pub mod features;
 pub mod metrics;
 pub mod model;
 pub mod pipeline;
-pub mod prefetch;
 pub mod runtime;
 pub mod sample;
 pub mod sample_cache;
-pub mod store;
 pub mod schedule;
+pub mod store;
 pub mod train;
 pub mod wlnm;
 
@@ -45,14 +44,13 @@ pub use pipeline::{
     evaluate_model, CheckpointPolicy, EvalMetrics, Experiment, ExperimentBuilder, Hyperparams,
     Session,
 };
-pub use prefetch::{prepare_batch_pipelined, PrefetchConfig};
 pub use sample::{
     message_graph_for, message_graph_from_messages, prepare_batch, prepare_batch_obs,
     prepare_sample, prepare_sample_obs, PreparedSample, SampleTimers,
 };
 pub use sample_cache::SampleCache;
-pub use store::{SampleStore, StoreKey};
 pub use schedule::{EarlyStopping, LrSchedule};
+pub use store::{SampleStore, StoreKey};
 pub use train::{
     predict_probs, DivergenceCause, LinkModel, RecoveryEvent, TrainConfig, Trainer, WatchdogConfig,
 };

@@ -8,12 +8,11 @@ use crate::fault::FaultInjector;
 use crate::features::FeatureConfig;
 use crate::metrics::{accuracy, argmax_predictions, average_precision, macro_auc};
 use crate::model::{DgcnnModel, GnnKind, ModelConfig};
-use crate::prefetch::{prepare_batch_pipelined, PrefetchConfig};
-use crate::sample::PreparedSample;
+use crate::sample::{prepare_sample_obs, PreparedSample, SampleTimers};
 use crate::schedule::LrSchedule;
 use crate::store::{SampleStore, StoreKey};
 use crate::train::{labels_of, predict_probs, TrainConfig, Trainer};
-use amdgcnn_data::Dataset;
+use amdgcnn_data::{Dataset, LabeledLink};
 use amdgcnn_obs::Obs;
 use amdgcnn_tensor::ParamStore;
 use rand::{rngs::StdRng, SeedableRng};
@@ -89,9 +88,6 @@ pub struct Experiment {
     /// Observability registry threaded into sessions (disabled by
     /// default — spans, counters, and events are then no-ops).
     pub obs: Obs,
-    /// Sample-preparation pipeline settings (serial by default; see
-    /// [`ExperimentBuilder::prefetch`]).
-    pub prefetch: PrefetchConfig,
     /// Persistent sample-store file (None disables; see
     /// [`ExperimentBuilder::sample_store`]).
     pub store: Option<PathBuf>,
@@ -126,7 +122,6 @@ pub struct ExperimentBuilder {
     resume: bool,
     injector: Option<Arc<FaultInjector>>,
     obs: Obs,
-    prefetch: PrefetchConfig,
     store: Option<PathBuf>,
     graph_generation: u64,
 }
@@ -146,7 +141,6 @@ impl Default for ExperimentBuilder {
             resume: false,
             injector: None,
             obs: Obs::disabled(),
-            prefetch: PrefetchConfig::default(),
             store: None,
             graph_generation: 0,
         }
@@ -248,23 +242,6 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Prepare samples through the bounded prefetch pipeline with
-    /// `workers` supervised producer threads (0, the default, prepares
-    /// serially in-line). Delivery is reassembled in sample-index order,
-    /// so epoch results are bit-identical to the serial path regardless
-    /// of worker count.
-    pub fn prefetch(mut self, workers: usize) -> Self {
-        self.prefetch.workers = workers;
-        self
-    }
-
-    /// Capacity of the producer→consumer channel (default 8 slots; at
-    /// most `capacity + workers` samples are in flight).
-    pub fn prefetch_capacity(mut self, capacity: usize) -> Self {
-        self.prefetch.capacity = capacity.max(1);
-        self
-    }
-
     /// Persist tensorized samples to the `AMSS` file at `path` and reuse
     /// them on later sessions (including [`resume_from`]
     /// (ExperimentBuilder::resume_from) and tuning trials over the same
@@ -307,7 +284,6 @@ impl ExperimentBuilder {
             resume: self.resume,
             injector: self.injector,
             obs: self.obs,
-            prefetch: self.prefetch,
             store: self.store,
             graph_generation: self.graph_generation,
         }
@@ -379,9 +355,9 @@ impl Experiment {
             Some(n) => &ds.train[..n],
             None => &ds.train[..],
         };
-        // Both splits route through the prefetch pipeline and (when
-        // configured) the persistent sample store — eval samples included,
-        // so a resumed or repeated run re-tensorizes nothing.
+        // Both splits consult the persistent sample store when one is
+        // configured — eval samples included, so a resumed or repeated run
+        // re-tensorizes nothing.
         let mut store = match &self.store {
             Some(path) => Some(SampleStore::open(
                 path,
@@ -389,29 +365,12 @@ impl Experiment {
             )?),
             None => None,
         };
-        let injector = self.injector.as_deref();
-        let train_samples = prepare_batch_pipelined(
-            ds,
-            train_links,
-            &fcfg,
-            &self.obs,
-            self.prefetch,
-            store.as_mut(),
-            injector,
-        );
-        let test_samples = prepare_batch_pipelined(
-            ds,
-            &ds.test,
-            &fcfg,
-            &self.obs,
-            self.prefetch,
-            store.as_mut(),
-            injector,
-        );
+        let train_samples = prepare_split(ds, train_links, &fcfg, &self.obs, store.as_mut());
+        let test_samples = prepare_split(ds, &ds.test, &fcfg, &self.obs, store.as_mut());
         if let Some(store) = store.as_mut() {
             if store.is_dirty() {
                 let flush_span = self.obs.span("pipeline/prefetch/store_flush");
-                let fault = injector.and_then(|inj| inj.next_disk_fault());
+                let fault = self.injector.as_ref().and_then(|inj| inj.next_disk_fault());
                 store.flush(fault)?;
                 flush_span.finish();
             }
@@ -524,6 +483,47 @@ impl Experiment {
         });
         Ok(())
     }
+}
+
+/// Prepare `links` in order, decoding each sample from `store` when it
+/// holds one and running k-hop extraction, DRNL labelling and
+/// tensorization otherwise. Misses are inserted into the store in index
+/// order (the caller flushes). Store hits and misses are counted on
+/// `pipeline/prefetch/store_hit` / `store_miss`.
+fn prepare_split(
+    ds: &Dataset,
+    links: &[LabeledLink],
+    fcfg: &FeatureConfig,
+    obs: &Obs,
+    store: Option<&mut SampleStore>,
+) -> Vec<PreparedSample> {
+    let timers = SampleTimers::new(obs);
+    let hit_counter = obs.counter("pipeline/prefetch/store_hit");
+    let miss_counter = obs.counter("pipeline/prefetch/store_miss");
+    let mut samples = Vec::with_capacity(links.len());
+    let mut miss_idx = Vec::new();
+    for (idx, link) in links.iter().enumerate() {
+        let sample = match store.as_deref().and_then(|s| s.get(ds, link)) {
+            Some(sample) => {
+                hit_counter.inc();
+                sample
+            }
+            None => {
+                if store.is_some() {
+                    miss_counter.inc();
+                }
+                miss_idx.push(idx);
+                prepare_sample_obs(ds, link, fcfg, &timers)
+            }
+        };
+        samples.push(sample);
+    }
+    if let Some(store) = store {
+        for idx in miss_idx {
+            store.insert(&links[idx], &samples[idx]);
+        }
+    }
+    samples
 }
 
 /// Training state bundled for incremental runs.

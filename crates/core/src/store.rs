@@ -558,7 +558,8 @@ impl SampleStore {
         w.write_all(&(self.records.len() as u32).to_le_bytes())
             .map_err(io_err)?;
         let header_crc = w.section_crc();
-        w.write_unchecked(&header_crc.to_le_bytes()).map_err(io_err)?;
+        w.write_unchecked(&header_crc.to_le_bytes())
+            .map_err(io_err)?;
         for body in self.records.values() {
             let body = body.as_slice();
             w.reset_section();

@@ -1,10 +1,11 @@
-//! Data-parallel training and evaluation.
+//! Minibatch training and evaluation.
 //!
-//! Each sample's forward/backward runs on its own tape, so a minibatch fans
-//! out over rayon workers with the parameters shared read-only (`Arc`
-//! snapshots). Per-sample gradients are reduced **in sample order** — a
-//! parallel map followed by an ordered fold — so training is bit-for-bit
-//! reproducible for a fixed seed regardless of thread scheduling.
+//! Each minibatch runs as one packed tape: the model's
+//! [`LinkModel::forward_batch`] forwards every sample, the per-sample
+//! losses are averaged on the tape, and one backward pass yields the mean
+//! batch gradient. Shuffling and dropout draw from RNG streams that depend
+//! only on `(seed, epoch, sample)`, so training is bit-for-bit
+//! reproducible for a fixed seed.
 
 use crate::checkpoint::TrainState;
 use crate::error::{Error, Result};
@@ -13,7 +14,7 @@ use crate::sample::PreparedSample;
 use crate::schedule::LrSchedule;
 use amdgcnn_nn::{Adam, Optimizer};
 use amdgcnn_obs::Obs;
-use amdgcnn_tensor::{GradStore, Matrix, ParamId, ParamStore, Tape, Var};
+use amdgcnn_tensor::{Matrix, ParamId, ParamStore, Tape, Var};
 use rand::{rngs::StdRng, SeedableRng};
 use rayon::prelude::*;
 use std::sync::Arc;
@@ -109,12 +110,6 @@ pub struct TrainConfig {
     pub seed: u64,
     /// Divergence detection and rollback recovery.
     pub watchdog: WatchdogConfig,
-    /// Run each minibatch as one block-diagonal packed forward/backward
-    /// (`true`, the default) instead of per-sample tapes fanned over rayon.
-    /// The packed forward is bit-identical per sample; only the gradient
-    /// *reduction* regroups float sums, so the loss trajectories of the two
-    /// modes agree to float tolerance rather than bitwise.
-    pub batched: bool,
 }
 
 impl Default for TrainConfig {
@@ -126,7 +121,6 @@ impl Default for TrainConfig {
             grad_clip: Some(5.0),
             seed: 0,
             watchdog: WatchdogConfig::default(),
-            batched: true,
         }
     }
 }
@@ -426,8 +420,8 @@ impl Trainer {
         }
     }
 
-    /// One epoch over `samples`: shuffled minibatches, parallel per-sample
-    /// gradients, ordered reduction, optimizer steps. Returns the mean
+    /// One epoch over `samples`: shuffled minibatches, one packed
+    /// forward/backward per minibatch, optimizer steps. Returns the mean
     /// epoch loss, or the divergence cause when the watchdog detects a
     /// non-finite loss or gradient (aborting the epoch mid-way; the caller
     /// rolls back). RNG streams depend only on `(seed, epoch, sample)`, so
@@ -440,8 +434,7 @@ impl Trainer {
         attempt: usize,
     ) -> std::result::Result<f32, DivergenceCause> {
         let detect = self.cfg.watchdog.enabled;
-        // Span timers resolved once per epoch; the forward/backward handles
-        // are shared read-only into the rayon workers (atomics only).
+        // Span timers resolved once per epoch.
         let _epoch_span = self.obs.timer("train/epoch").start();
         let t_forward = self.obs.timer("train/forward");
         let t_backward = self.obs.timer("train/backward");
@@ -460,61 +453,31 @@ impl Trainer {
                         ^ (idx as u64).wrapping_mul(0x517c_c1b7_2722_0a95),
                 )
             };
-            let (loss_vals, batch_grads) = if self.cfg.batched {
-                // One tape for the whole minibatch: the model packs the
-                // subgraphs block-diagonally and runs the message passing
-                // as a few large sparse kernels. Per-sample dropout streams
-                // are the same the per-sample path would draw.
-                let refs: Vec<&PreparedSample> = chunk.iter().map(|&idx| &samples[idx]).collect();
-                let mut rngs: Vec<StdRng> = chunk.iter().map(|&idx| dropout_rng_for(idx)).collect();
-                let mut tape = Tape::new();
-                let forward_span = t_forward.start();
-                let logits = model.forward_batch(&mut tape, ps, &refs, Some(&mut rngs));
-                let losses: Vec<Var> = logits
-                    .iter()
-                    .zip(refs.iter())
-                    .map(|(&l, s)| tape.softmax_cross_entropy(l, Arc::new(vec![s.label])))
-                    .collect();
-                let loss_vals: Vec<f32> = losses.iter().map(|&l| tape.value(l).get(0, 0)).collect();
-                // Mean batch loss on-tape: its backward IS the mean of the
-                // per-sample gradients, replacing the merge+scale reduction.
-                let mut total = losses[0];
-                for &l in &losses[1..] {
-                    total = tape.add(total, l);
-                }
-                let mean = tape.scale(total, 1.0 / chunk.len() as f32);
-                forward_span.finish();
-                let backward_span = t_backward.start();
-                let grads = tape.backward(mean, ps.len());
-                backward_span.finish();
-                (loss_vals, grads)
-            } else {
-                // Legacy path: parallel per-sample tapes; ordered reduction.
-                let results: Vec<(f32, GradStore)> = chunk
-                    .par_iter()
-                    .map(|&idx| {
-                        let sample = &samples[idx];
-                        let mut dropout_rng = dropout_rng_for(idx);
-                        let mut tape = Tape::new();
-                        let forward_span = t_forward.start();
-                        let logits =
-                            model.forward_sample(&mut tape, ps, sample, Some(&mut dropout_rng));
-                        let loss = tape.softmax_cross_entropy(logits, Arc::new(vec![sample.label]));
-                        let loss_val = tape.value(loss).get(0, 0);
-                        forward_span.finish();
-                        let backward_span = t_backward.start();
-                        let grads = tape.backward(loss, ps.len());
-                        backward_span.finish();
-                        (loss_val, grads)
-                    })
-                    .collect();
-                let mut batch_grads = GradStore::new(ps.len());
-                for (_, grads) in &results {
-                    batch_grads.merge(grads);
-                }
-                batch_grads.scale(1.0 / chunk.len() as f32);
-                (results.into_iter().map(|(l, _)| l).collect(), batch_grads)
-            };
+            // One tape for the whole minibatch: the model forwards every
+            // sample (DgcnnModel packs the subgraphs block-diagonally and
+            // runs the message passing as a few large sparse kernels), and
+            // the backward of the on-tape mean loss is the mean of the
+            // per-sample gradients.
+            let refs: Vec<&PreparedSample> = chunk.iter().map(|&idx| &samples[idx]).collect();
+            let mut rngs: Vec<StdRng> = chunk.iter().map(|&idx| dropout_rng_for(idx)).collect();
+            let mut tape = Tape::new();
+            let forward_span = t_forward.start();
+            let logits = model.forward_batch(&mut tape, ps, &refs, Some(&mut rngs));
+            let losses: Vec<Var> = logits
+                .iter()
+                .zip(refs.iter())
+                .map(|(&l, s)| tape.softmax_cross_entropy(l, Arc::new(vec![s.label])))
+                .collect();
+            let loss_vals: Vec<f32> = losses.iter().map(|&l| tape.value(l).get(0, 0)).collect();
+            let mut total = losses[0];
+            for &l in &losses[1..] {
+                total = tape.add(total, l);
+            }
+            let mean = tape.scale(total, 1.0 / chunk.len() as f32);
+            forward_span.finish();
+            let backward_span = t_backward.start();
+            let mut batch_grads = tape.backward(mean, ps.len());
+            backward_span.finish();
 
             let mut losses_finite = true;
             for loss_val in &loss_vals {
@@ -524,7 +487,6 @@ impl Trainer {
             if detect && !losses_finite {
                 return Err(DivergenceCause::NonFiniteLoss);
             }
-            let mut batch_grads = batch_grads;
             if let Some(clip) = self.cfg.grad_clip {
                 batch_grads.clip_global_norm(clip);
             }
@@ -708,33 +670,6 @@ mod tests {
         assert!((trainer.current_lr() - 0.4).abs() < 1e-6);
         trainer.train(&model, &mut ps, &samples, 2).expect("train");
         assert!((trainer.current_lr() - 0.1).abs() < 1e-6);
-    }
-
-    #[test]
-    fn batched_and_legacy_training_agree() {
-        // The packed forward is bit-identical per sample; only the gradient
-        // reduction regroups float sums, so short trajectories agree to
-        // tight float tolerance.
-        let run = |batched: bool| {
-            let (model, mut ps, samples) = tiny_setup(GnnKind::am_dgcnn());
-            let mut trainer = Trainer::new(TrainConfig {
-                lr: 5e-3,
-                seed: 7,
-                batched,
-                ..Default::default()
-            });
-            trainer.train(&model, &mut ps, &samples, 2).expect("train");
-            trainer.history.iter().map(|e| e.loss).collect::<Vec<_>>()
-        };
-        let b = run(true);
-        let l = run(false);
-        assert_eq!(
-            b[0], l[0],
-            "epoch 1 sees identical params: losses match bitwise"
-        );
-        for (x, y) in b.iter().zip(&l) {
-            assert!((x - y).abs() < 1e-4, "batched {x} vs legacy {y}");
-        }
     }
 
     #[test]

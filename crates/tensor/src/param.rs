@@ -1,10 +1,9 @@
 //! Trainable-parameter storage and gradient accumulation.
 //!
-//! Parameters live outside any tape in a [`ParamStore`]; per-sample tapes
-//! reference them through cheap `Arc` clones, so an epoch's gradient pass
-//! can fan samples out over rayon threads with the parameters shared
-//! read-only. Gradients come back in [`GradStore`]s keyed by [`ParamId`] and
-//! are reduced in deterministic sample order by the trainer.
+//! Parameters live outside any tape in a [`ParamStore`]; tapes reference
+//! them through cheap `Arc` clones, so forward passes on several rayon
+//! threads share the parameters read-only. Gradients come back in
+//! [`GradStore`]s keyed by [`ParamId`].
 
 use crate::matrix::Matrix;
 use std::sync::Arc;

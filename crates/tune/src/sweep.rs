@@ -11,7 +11,7 @@
 //! bit-for-bit (proptested in `crates/tune/tests/store_sweep.rs`).
 //!
 //! Observability: each trial is wrapped in a `tune/trial` span and counted
-//! on `tune/trials`; store traffic lands on the usual
+//! on `tune/trials`; store traffic lands on the session's
 //! `pipeline/prefetch/store_hit` / `store_miss` counters, so "prepared
 //! exactly once" is directly auditable from the obs registry.
 
@@ -40,8 +40,6 @@ pub struct SweepConfig {
     /// Shared `AMSS` sample-store path. `None` disables persistence and
     /// every trial re-prepares from scratch.
     pub store: Option<PathBuf>,
-    /// Prefetch workers per trial (0 = serial in-line preparation).
-    pub prefetch_workers: usize,
 }
 
 impl Default for SweepConfig {
@@ -53,7 +51,6 @@ impl Default for SweepConfig {
             seed: 0,
             train_subset: None,
             store: None,
-            prefetch_workers: 0,
         }
     }
 }
@@ -97,7 +94,6 @@ pub fn sweep(
                 .gnn(cfg.gnn)
                 .hyper(hyperparams_at(point))
                 .seed(cfg.seed)
-                .prefetch(cfg.prefetch_workers)
                 .observe(obs.clone());
             if let Some(store) = &cfg.store {
                 builder = builder.sample_store(store);

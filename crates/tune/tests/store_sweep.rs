@@ -1,7 +1,7 @@
 //! Store-backed trial sweeps: all trials share one `AMSS` sample store,
 //! so the sweep prepares each sample **exactly once** (auditable on the
 //! obs counters), and every trial's metrics are bit-identical to a
-//! store-less sweep — with or without prefetch workers. A store belonging
+//! store-less sweep. A store belonging
 //! to different data aborts the sweep with a typed error instead of
 //! training on the wrong tensors.
 
@@ -44,7 +44,6 @@ fn config() -> SweepConfig {
         seed: 31,
         train_subset: Some(TRAIN_SUBSET),
         store: None,
-        prefetch_workers: 0,
     }
 }
 
@@ -56,11 +55,10 @@ fn shared_store_prepares_each_sample_exactly_once_and_stays_bit_identical() {
     let reference = sweep(&small_space(), &ds, &config(), &Obs::disabled()).expect("reference");
     assert_eq!(reference.history.len(), BUDGET);
 
-    // Store-backed sweep (with prefetch workers, the production shape).
+    // Store-backed sweep.
     let obs = Obs::enabled();
     let cfg = SweepConfig {
         store: Some(scratch_store("shared")),
-        prefetch_workers: 2,
         ..config()
     };
     let stored = sweep(&small_space(), &ds, &cfg, &obs).expect("store-backed sweep");

@@ -2,6 +2,7 @@
 //! feature construction → training → evaluation, across all four dataset
 //! families at miniature scale.
 
+use am_dgcnn::obs::{Obs, Report};
 use am_dgcnn::{Experiment, GnnKind, Hyperparams};
 use amdgcnn_data::{
     biokg_like, cora_like, primekg_like, wn18_like, BioKgConfig, CoraConfig, Dataset,
@@ -113,4 +114,56 @@ fn epoch_checkpointing_is_consistent_with_direct_training() {
         .expect("checkpoints");
     let direct = exp.run(&ds, 3).expect("run");
     assert_eq!(stepped[2], direct, "incremental training must be exact");
+}
+
+/// The obs names the benchmark's traced training run reads (it lives in
+/// its own workspace, outside `cargo test`): a cold store-backed session
+/// misses (and flushes) every sample, a warm one hits every sample, and
+/// both record the preparation, training and evaluation spans.
+#[test]
+fn store_backed_session_reports_store_and_stage_names() {
+    let ds = wn18_like(&Wn18Config::tiny());
+    let dir = std::env::temp_dir().join(format!("amdgcnn-obs-names-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let store = dir.join("samples.amss");
+    let samples = (ds.train.len() + ds.test.len()) as u64;
+    let run = || -> Report {
+        let obs = Obs::enabled();
+        let exp = Experiment::builder()
+            .gnn(GnnKind::am_dgcnn())
+            .hyper(fast_hyper())
+            .seed(4)
+            .sample_store(&store)
+            .observe(obs.clone())
+            .build();
+        let session = exp.session(&ds, None).expect("session");
+        exp.run_session(session, &[1]).expect("run");
+        obs.report()
+    };
+    let ran = |report: &Report, name: &str| report.span(name).is_some_and(|s| s.count > 0);
+
+    let cold = run();
+    assert_eq!(cold.counter("pipeline/prefetch/store_miss"), Some(samples));
+    assert!(ran(&cold, "pipeline/prefetch/store_flush"));
+
+    let warm = run();
+    assert_eq!(warm.counter("pipeline/prefetch/store_hit"), Some(samples));
+    assert_eq!(warm.counter("pipeline/prefetch/store_miss"), Some(0));
+
+    for name in [
+        "pipeline/sample/khop",
+        "pipeline/sample/drnl",
+        "pipeline/sample/tensorize",
+        "train/epoch",
+        "train/forward",
+        "train/backward",
+        "train/optimizer_step",
+        "pipeline/evaluate",
+    ] {
+        assert!(ran(&cold, name), "cold run recorded no {name} span");
+        if !name.starts_with("pipeline/sample") {
+            assert!(ran(&warm, name), "warm run recorded no {name} span");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
