@@ -7,12 +7,13 @@
 
 use amdgcnn_bench::runner::{emit_json, epoch_sweep, format_sweep};
 use amdgcnn_bench::{load_dataset, tuned_hyper, Bench, EPOCH_GRID};
+use amdgcnn_obs::Obs;
 
 fn main() {
     let fast = std::env::args().any(|a| a == "fast");
     let ds = load_dataset(Bench::Cora);
     let grid: &[usize] = if fast { &[2, 4] } else { &EPOCH_GRID };
-    let pts = epoch_sweep(&ds, tuned_hyper(Bench::Cora), grid, 0xf16);
+    let pts = epoch_sweep(&ds, tuned_hyper(Bench::Cora), grid, 0xf16, &Obs::disabled());
     println!(
         "{}",
         format_sweep("Fig. 3 — Cora, auto-tuned hyperparameters", "epochs", &pts)

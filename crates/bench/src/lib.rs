@@ -1,19 +1,18 @@
 //! # amdgcnn-bench
 //!
 //! Experiment harness regenerating every table and figure of the paper's
-//! evaluation (see DESIGN.md §4 for the experiment index), plus criterion
-//! micro-benchmarks of the hot components. Each `src/bin/*` binary prints
-//! an aligned text table and machine-readable `JSON <label> {...}` lines.
+//! evaluation (see DESIGN.md §4 for the experiment index). Each
+//! `src/bin/*` binary prints an aligned text table and machine-readable
+//! `JSON <label> {...}` lines. Speed is measured by the separate
+//! `benchmark/` package, not here.
 
 #![warn(missing_docs)]
 
 pub mod configs;
-pub mod obs_report;
 pub mod runner;
 
 pub use configs::{default_hyper, tuned_hyper, Bench};
-pub use obs_report::{obs_smoke_report, write_timing_report, TENTPOLE_SPANS};
 pub use runner::{
-    am_dgcnn_for, compare_models, epoch_sweep, epoch_sweep_obs, load_dataset, sample_sweep,
-    sample_sweep_obs, ComparisonRow, SweepPoint, EPOCH_GRID,
+    am_dgcnn_for, compare_models, epoch_sweep, load_dataset, sample_sweep, ComparisonRow,
+    SweepPoint, EPOCH_GRID,
 };

@@ -24,16 +24,9 @@ pub fn load_dataset(bench: Bench) -> Dataset {
 /// The AM-DGCNN variant appropriate for a dataset: edge attributes when the
 /// dataset has them, plain attention otherwise (Cora).
 pub fn am_dgcnn_for(ds: &Dataset) -> GnnKind {
-    if ds.edge_attrs.dim() > 0 {
-        GnnKind::Gat {
-            edge_attrs: true,
-            heads: 1,
-        }
-    } else {
-        GnnKind::Gat {
-            edge_attrs: false,
-            heads: 1,
-        }
+    GnnKind::Gat {
+        edge_attrs: ds.edge_attrs.dim() > 0,
+        heads: 1,
     }
 }
 
@@ -84,20 +77,11 @@ pub struct SweepPoint {
 }
 
 /// Epoch sweep (Figs. 3–6): evaluate both models at each checkpoint while
-/// training continues incrementally.
+/// training continues incrementally, recording per-stage timing (sample
+/// preparation, training phases, evaluation) into `obs`. Observation never
+/// feeds back into the computation, so the sweep points are identical with
+/// [`Obs::disabled`].
 pub fn epoch_sweep(
-    ds: &Dataset,
-    hyper: Hyperparams,
-    checkpoints: &[usize],
-    seed: u64,
-) -> Vec<SweepPoint> {
-    epoch_sweep_obs(ds, hyper, checkpoints, seed, &Obs::disabled())
-}
-
-/// [`epoch_sweep`] with per-stage timing recorded into `obs` (sample
-/// preparation, training phases, evaluation). Observation never feeds back
-/// into the computation, so the sweep points are identical either way.
-pub fn epoch_sweep_obs(
     ds: &Dataset,
     hyper: Hyperparams,
     checkpoints: &[usize],
@@ -134,20 +118,9 @@ pub fn epoch_sweep_obs(
 }
 
 /// Training-sample sweep (Figs. 7–9): train to `epochs` on increasing
-/// subsets of the training split.
+/// subsets of the training split, recording per-stage timing into `obs`.
+/// The sweep points are identical with or without observation.
 pub fn sample_sweep(
-    ds: &Dataset,
-    hyper: Hyperparams,
-    subset_sizes: &[usize],
-    epochs: usize,
-    seed: u64,
-) -> Vec<SweepPoint> {
-    sample_sweep_obs(ds, hyper, subset_sizes, epochs, seed, &Obs::disabled())
-}
-
-/// [`sample_sweep`] with per-stage timing recorded into `obs`. The sweep
-/// points are identical with or without observation.
-pub fn sample_sweep_obs(
     ds: &Dataset,
     hyper: Hyperparams,
     subset_sizes: &[usize],
@@ -240,21 +213,12 @@ pub fn emit_json<T: Serialize>(label: &str, value: &T) {
     );
 }
 
-/// Print and emit a figure run's per-stage timing: a span table on stdout,
-/// a `JSON <figure>_timing {...}` line, and — when `AMDGCNN_TIMING_OUT`
-/// names a path — the report JSON written there (the CI artifact).
+/// Print and emit a figure run's per-stage timing: a span table on stdout
+/// and a `JSON <figure>_timing {...}` line.
 fn emit_timing(figure: &str, obs: &Obs) {
     let report = obs.report();
     println!("{figure} per-stage timing\n{}", report.format_spans());
     emit_json(&format!("{figure}_timing"), &report);
-    if let Some(path) = crate::obs_report::timing_out_from_env() {
-        if let Err(e) = crate::obs_report::write_timing_report(&path, &report) {
-            eprintln!(
-                "warning: could not write timing report to {}: {e}",
-                path.display()
-            );
-        }
-    }
 }
 
 /// Drive a full epoch figure (Figs. 4–6): panels (a) default and (b)
@@ -274,7 +238,7 @@ pub fn run_epoch_figure(bench: Bench, figure: &str, fast: bool) {
             crate::configs::tuned_hyper(bench),
         ),
     ] {
-        let pts = epoch_sweep_obs(&ds, hyper, grid, 0xf16, &obs);
+        let pts = epoch_sweep(&ds, hyper, grid, 0xf16, &obs);
         println!(
             "{}",
             format_sweep(&format!("{figure} {panel} — {}", ds.name), "epochs", &pts)
@@ -316,7 +280,7 @@ pub fn run_sample_figure(bench: Bench, figure: &str, fast: bool) {
             crate::configs::tuned_hyper(bench),
         ),
     ] {
-        let pts = sample_sweep_obs(&ds, hyper, &subsets, epochs, 0xf79, &obs);
+        let pts = sample_sweep(&ds, hyper, &subsets, epochs, 0xf79, &obs);
         println!(
             "{}",
             format_sweep(&format!("{figure} {panel} — {}", ds.name), "samples", &pts)

@@ -47,7 +47,8 @@
 //!   [`crate::sample::message_graph_from_messages`] with linear copies
 //!   only — bit-identical to the built graph, because the persisted list
 //!   *is* that graph's message list, at a fraction of the cost of
-//!   re-sorting (the warm-store speedup `sample_bench` gates on).
+//!   re-sorting. A warm session therefore runs no k-hop extraction at
+//!   all (`tests/pipeline_end_to_end.rs` asserts the span is absent).
 
 use crate::error::{Error, Result};
 use crate::features::FeatureConfig;

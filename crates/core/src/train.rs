@@ -623,6 +623,62 @@ mod tests {
         assert_eq!(p1, p2, "predictions must be reproducible");
     }
 
+    /// [`DgcnnModel`] with only [`LinkModel::forward_sample`], so training
+    /// runs the trait's default per-sample `forward_batch` (the path
+    /// [`crate::wlnm::WlnmModel`] trains through).
+    struct PerSample(DgcnnModel);
+
+    impl LinkModel for PerSample {
+        fn forward_sample(
+            &self,
+            tape: &mut Tape,
+            ps: &ParamStore,
+            sample: &PreparedSample,
+            dropout_rng: Option<&mut StdRng>,
+        ) -> Var {
+            self.0.forward_sample(tape, ps, sample, dropout_rng)
+        }
+
+        fn num_classes(&self) -> usize {
+            self.0.num_classes()
+        }
+    }
+
+    #[test]
+    fn packed_and_per_sample_forward_batch_train_alike() {
+        // Same weights, seed and data order. Gradients are only
+        // tolerance-equal (the packed backward sums per-sample terms in a
+        // different order) and SortPool's row selection amplifies 1-ulp
+        // weight drift, so later epochs get a looser bound than epoch 1.
+        for gnn in [GnnKind::Gcn, GnnKind::am_dgcnn()] {
+            let losses = |per_sample: bool| {
+                let (model, mut ps, samples) = tiny_setup(gnn);
+                let mut trainer = Trainer::new(TrainConfig {
+                    lr: 5e-3,
+                    seed: 17,
+                    ..Default::default()
+                });
+                if per_sample {
+                    trainer.train(&PerSample(model), &mut ps, &samples, 3)
+                } else {
+                    trainer.train(&model, &mut ps, &samples, 3)
+                }
+                .expect("train");
+                trainer.history.iter().map(|e| e.loss).collect::<Vec<_>>()
+            };
+            let (packed, per_sample) = (losses(false), losses(true));
+            assert_eq!(packed.len(), 3);
+            for (i, (a, b)) in packed.iter().zip(&per_sample).enumerate() {
+                let bound = if i == 0 { 2e-3 } else { 0.2 };
+                assert!(
+                    (a - b).abs() < bound,
+                    "{gnn:?} epoch {}: packed loss {a} vs per-sample {b} (bound {bound})",
+                    i + 1
+                );
+            }
+        }
+    }
+
     #[test]
     fn predictions_are_valid_distributions() {
         let (model, ps, samples) = tiny_setup(GnnKind::Gcn);

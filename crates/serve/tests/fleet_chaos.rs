@@ -484,6 +484,70 @@ fn respawn_after_last_crash_restores_routing() {
     fleet.shutdown();
 }
 
+/// Why a fleet out-serves one server of the same size: the working set is
+/// twice one replica's cache, so a lone engine thrashes its LRU on every
+/// pass, while consistent hashing gives each of 4 replicas a shard that
+/// fits. After one warm pass the fleet answers everything from cache,
+/// without hedging or failing over.
+#[test]
+fn sharded_caches_absorb_a_working_set_one_server_thrashes() {
+    let (artifact, ds) = artifact_and_ds();
+    let queries: Vec<LinkQuery> = ds
+        .train
+        .iter()
+        .chain(&ds.test)
+        .map(|l| (l.u, l.v))
+        .collect();
+    let expected = reference_answers(&queries);
+    assert_eq!(expected.len(), queries.len(), "pairs must be distinct");
+    let capacity = queries.len() / 2;
+
+    let fleet = Fleet::start(
+        artifact.clone(),
+        ds.clone(),
+        FleetConfig {
+            replicas: 4,
+            cache_capacity: capacity,
+            hedge_after: Duration::from_secs(30),
+            ..FleetConfig::default()
+        },
+    )
+    .expect("fleet starts");
+    for r in 0..4 {
+        let shard = queries.iter().filter(|&&q| fleet.route(q) == r).count();
+        assert!(shard <= capacity, "replica {r} owns {shard} keys");
+    }
+    for &q in &queries {
+        assert_eq!(fleet.query(q).expect("warm pass"), expected[&q]);
+    }
+    let warm = fleet.stats();
+    for &q in &queries {
+        assert_eq!(fleet.query(q).expect("second pass"), expected[&q]);
+    }
+    let second = fleet.stats();
+    assert_eq!(
+        second.merged.cache_misses, warm.merged.cache_misses,
+        "{second}"
+    );
+    assert_eq!(second.hedges, 0, "{second}");
+    assert_eq!(second.failovers, 0, "{second}");
+    fleet.shutdown();
+
+    let lone = InferenceEngine::load(artifact.as_slice(), ds.clone(), capacity).expect("engine");
+    for &q in &queries {
+        lone.predict_one(q);
+    }
+    let misses = lone.stats().cache_misses;
+    for &q in &queries {
+        assert_eq!(lone.predict_one(q), expected[&q]);
+    }
+    assert_eq!(
+        lone.stats().cache_misses - misses,
+        queries.len() as u64,
+        "a lone engine must miss on every second-pass query"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 

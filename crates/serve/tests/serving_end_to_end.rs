@@ -1,11 +1,14 @@
 //! End-to-end serving guarantees: a reloaded artifact is the trained model
 //! (bit-exact metrics and probabilities), the batch server answers exactly
-//! like direct engine calls, and the cache counters add up.
+//! like direct engine calls, the cache counters add up, and one shared
+//! observability registry sees every stage of the train → resume → serve
+//! lifecycle.
 
 use am_dgcnn::{evaluate_model, predict_probs, Experiment, FeatureConfig, GnnKind, Hyperparams};
 use amdgcnn_data::{wn18_like, Dataset, Wn18Config};
+use amdgcnn_obs::{Obs, Report};
 use amdgcnn_serve::{
-    load_model, save_model, ArtifactMeta, BatchConfig, BatchServer, InferenceEngine,
+    load_model, save_model, ArtifactMeta, BatchConfig, BatchServer, InferenceEngine, LinkQuery,
 };
 use std::time::Duration;
 
@@ -158,4 +161,104 @@ fn engine_refuses_mismatched_dataset() {
         Err(e) => e,
     };
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+}
+
+/// Every span the instrumented pipeline produces in one train → resume →
+/// serve run (DESIGN.md §12). A renamed or dropped span fails the test.
+const LIFECYCLE_SPANS: [&str; 14] = [
+    "pipeline/sample",
+    "pipeline/sample/khop",
+    "pipeline/sample/drnl",
+    "pipeline/sample/tensorize",
+    "train/epoch",
+    "train/forward",
+    "train/backward",
+    "train/optimizer_step",
+    "pipeline/checkpoint/save",
+    "pipeline/checkpoint/restore",
+    "pipeline/evaluate",
+    "serve/queue_wait",
+    "serve/batch_assembly",
+    "serve/engine",
+];
+
+/// Sample preparation, training with a checkpoint every epoch, evaluation,
+/// a session resumed from the newest checkpoint, and batched serving of the
+/// resumed model through the artifact format, all into one registry.
+#[test]
+fn one_registry_covers_the_whole_lifecycle() {
+    let obs = Obs::enabled();
+    let ds = wn18_like(&Wn18Config::tiny());
+    let ckpt = std::env::temp_dir().join(format!("amdgcnn-lifecycle-{}", std::process::id()));
+    let subset = Some(48.min(ds.train.len()));
+    let epochs = 2;
+
+    let exp = Experiment::builder()
+        .gnn(GnnKind::am_dgcnn())
+        .hyper(fast_hyper())
+        .seed(17)
+        .checkpoint_to(&ckpt, 1)
+        .observe(obs.clone())
+        .build();
+    let session = exp.session(&ds, subset).expect("session");
+    exp.run_session(session, &[epochs]).expect("training run");
+
+    let resumed = Experiment::builder()
+        .gnn(GnnKind::am_dgcnn())
+        .hyper(fast_hyper())
+        .seed(17)
+        .resume_from(&ckpt)
+        .observe(obs.clone())
+        .build();
+    let session = resumed.session(&ds, subset).expect("resumed session");
+    let _ = std::fs::remove_dir_all(&ckpt);
+
+    let fcfg = FeatureConfig::for_graph(ds.graph.num_node_types());
+    let meta = ArtifactMeta::describe(&ds, &session.model.cfg, &fcfg, epochs).expect("meta");
+    let mut artifact = Vec::new();
+    save_model(&meta, &session.ps, &mut artifact).expect("save");
+    let engine = InferenceEngine::load(artifact.as_slice(), ds.clone(), 64)
+        .expect("engine")
+        .with_obs(obs.clone());
+    let server = BatchServer::start(
+        engine,
+        BatchConfig {
+            max_batch: 8,
+            max_wait: Duration::from_millis(1),
+        },
+    );
+    let queries: Vec<LinkQuery> = ds
+        .test
+        .iter()
+        .cycle()
+        .take(32)
+        .map(|l| (l.u, l.v))
+        .collect();
+    server.submit_all_strict(&queries).expect("answers");
+    server.shutdown();
+
+    let report = obs.report();
+    for span in LIFECYCLE_SPANS {
+        let s = report
+            .span(span)
+            .unwrap_or_else(|| panic!("span {span} missing from the report"));
+        assert!(s.count > 0, "span {span} recorded no observations");
+        assert!(
+            s.max_ns >= s.p50_ns,
+            "span {span} has inconsistent quantiles"
+        );
+    }
+    assert!(
+        report.counter("serve/queries").unwrap_or(0) > 0,
+        "serving queries did not reach the shared registry"
+    );
+    assert!(
+        report
+            .events
+            .iter()
+            .any(|e| e.name == "pipeline/checkpoint/restore"),
+        "resume did not log a restore event"
+    );
+    let parsed = Report::from_json(&report.to_json()).expect("report JSON parses");
+    assert_eq!(parsed, report);
 }

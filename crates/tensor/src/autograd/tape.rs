@@ -110,16 +110,6 @@ impl Tape {
         self.push(v, Op::MatMul(a, b))
     }
 
-    /// `A · B` through the dense reference kernel
-    /// ([`crate::matmul::matmul_dense`]): no zero-skip shortcut, so the
-    /// forward cost is the full `m·n·k` FLOPs regardless of input sparsity.
-    /// Values and gradients are identical to [`Tape::matmul`] — this op
-    /// exists so dense-formulation baselines are charged their true cost.
-    pub fn matmul_dense(&mut self, a: Var, b: Var) -> Var {
-        let v = crate::matmul::matmul_dense(self.value(a), self.value(b));
-        self.push(v, Op::MatMul(a, b))
-    }
-
     /// Elementwise sum.
     pub fn add(&mut self, a: Var, b: Var) -> Var {
         let v = self.value(a).add(self.value(b));

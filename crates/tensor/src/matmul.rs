@@ -136,10 +136,8 @@ pub fn matmul_tn(a: &Matrix, b: &Matrix) -> Matrix {
 /// Unlike [`matmul`], no zero-entry shortcut is taken: every one of the
 /// `m·n·k` multiply-adds is performed. Numerically the result is identical
 /// to [`matmul`] (skipped terms contribute exactly `+0.0`), but the cost is
-/// the full dense FLOP count regardless of input sparsity. This is the
-/// faithful cost model for dense formulations — the dense adjacency-matmul
-/// GCN baseline the sparse kernels are benchmarked against — and the
-/// reference the g-SpMM kernels are property-tested under.
+/// the full dense FLOP count regardless of input sparsity. It is the
+/// reference [`matmul`]'s zero-skip is tested against.
 ///
 /// # Panics
 /// Panics if `A.cols() != B.rows()`.

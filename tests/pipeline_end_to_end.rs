@@ -149,6 +149,11 @@ fn store_backed_session_reports_store_and_stage_names() {
     let warm = run();
     assert_eq!(warm.counter("pipeline/prefetch/store_hit"), Some(samples));
     assert_eq!(warm.counter("pipeline/prefetch/store_miss"), Some(0));
+    // The warm-store speedup: a warm session walks no k-hop neighborhood.
+    assert!(
+        !ran(&warm, "pipeline/sample/khop"),
+        "warm run extracted subgraphs"
+    );
 
     for name in [
         "pipeline/sample/khop",
