@@ -11,28 +11,39 @@
 //! On disk a state is one `ckpt-NNNNNNNN.amts` file per generation
 //! (generation = epochs completed), written via
 //! [`amdgcnn_tensor::write_atomic`] (write-to-temp + fsync + atomic
-//! rename). The file's header carries its own CRC-32 and the three
-//! embedded parameter blobs (model params, Adam first moments, Adam second
-//! moments) use the checksummed `AMDG` v2 format, so a torn write or a
-//! flipped bit anywhere is detected at load. [`CheckpointDir::latest`]
-//! walks generations newest-first and returns the newest one that loads
-//! cleanly — a crash mid-write can only cost the torn generation, never a
-//! previously committed one.
+//! rename). The file is an `AMTS` version 2
+//! [`durable`](amdgcnn_tensor::durable) container:
+//!
+//! ```text
+//! section 0:        u64 epochs done | u64 seed | u64 Adam step count
+//!                   u32 history len | per epoch: u32 epoch | f32 loss | u32 retries
+//!                   u32 recovery len | per event: u32 epoch | u32 attempt
+//!                                               | u8 cause | f32 next lr
+//! sections 1..n:    the parameters, one each (the `AMDG` section layout)
+//! section n+1, n+2: Adam `m`, then Adam `v`:
+//!                   u32 slot count | per slot: u8 present | matrix if present
+//! ```
+//!
+//! Every section is checksummed, so a torn write or a flipped bit anywhere
+//! is detected at load. [`CheckpointDir::latest`] walks generations
+//! newest-first and returns the newest one that loads cleanly — a crash
+//! mid-write can only cost the torn generation, never a previously
+//! committed one.
 
 use crate::error::{Error, Result};
 use crate::train::{DivergenceCause, EpochStats, RecoveryEvent};
 use amdgcnn_nn::AdamState;
-use amdgcnn_tensor::durable::{write_atomic, CrcReader, CrcWriter, DiskFault};
-use amdgcnn_tensor::io::{load_params, save_params};
+use amdgcnn_tensor::durable::{self, invalid, put_matrix, write_atomic, Cursor, DiskFault};
+use amdgcnn_tensor::io::{param_sections, params_from_sections};
 use amdgcnn_tensor::{Matrix, ParamStore};
-use std::io::{self, Read, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"AMTS";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
-/// Ceilings on header-declared list lengths: a real history has one entry
-/// per epoch, so anything beyond this is a corrupt file, not a long run.
+/// Ceilings on declared list lengths: a real history has one entry per
+/// epoch, so anything beyond this is a corrupt file, not a long run.
 const MAX_LIST_LEN: usize = 1 << 24;
 
 /// A complete, resumable snapshot of a training run.
@@ -55,174 +66,125 @@ pub struct TrainState {
     pub recoveries: Vec<RecoveryEvent>,
 }
 
-/// Serialize a [`TrainState`] to `w`: CRC-guarded header, then three
-/// checksummed parameter blobs (params, Adam `m`, Adam `v`).
-pub fn save_train_state<W: Write>(state: &TrainState, w: W) -> io::Result<()> {
-    let mut w = CrcWriter::new(w);
-    w.write_all(MAGIC)?;
-    w.write_all(&VERSION.to_le_bytes())?;
-    w.write_all(&(state.epochs_done as u64).to_le_bytes())?;
-    w.write_all(&state.seed.to_le_bytes())?;
-    w.write_all(&state.opt.t.to_le_bytes())?;
-    w.write_all(&(state.history.len() as u32).to_le_bytes())?;
+/// Serialize a [`TrainState`] as one checksummed container: the header
+/// section, the parameters, then Adam `m` and `v`.
+pub fn encode_train_state(state: &TrainState) -> Vec<u8> {
+    let mut head = Vec::new();
+    head.extend_from_slice(&(state.epochs_done as u64).to_le_bytes());
+    head.extend_from_slice(&state.seed.to_le_bytes());
+    head.extend_from_slice(&state.opt.t.to_le_bytes());
+    head.extend_from_slice(&(state.history.len() as u32).to_le_bytes());
     for e in &state.history {
-        w.write_all(&(e.epoch as u32).to_le_bytes())?;
-        w.write_all(&e.loss.to_le_bytes())?;
-        w.write_all(&(e.retries as u32).to_le_bytes())?;
+        head.extend_from_slice(&(e.epoch as u32).to_le_bytes());
+        head.extend_from_slice(&e.loss.to_le_bytes());
+        head.extend_from_slice(&(e.retries as u32).to_le_bytes());
     }
-    w.write_all(&(state.recoveries.len() as u32).to_le_bytes())?;
+    head.extend_from_slice(&(state.recoveries.len() as u32).to_le_bytes());
     for r in &state.recoveries {
-        w.write_all(&(r.epoch as u32).to_le_bytes())?;
-        w.write_all(&(r.attempt as u32).to_le_bytes())?;
-        let cause: u8 = match r.cause {
+        head.extend_from_slice(&(r.epoch as u32).to_le_bytes());
+        head.extend_from_slice(&(r.attempt as u32).to_le_bytes());
+        head.push(match r.cause {
             DivergenceCause::NonFiniteLoss => 0,
             DivergenceCause::NonFiniteGradient => 1,
-        };
-        w.write_all(&[cause])?;
-        w.write_all(&r.lr_next.to_le_bytes())?;
+        });
+        head.extend_from_slice(&r.lr_next.to_le_bytes());
     }
-    let header_crc = w.total_crc();
-    w.write_unchecked(&header_crc.to_le_bytes())?;
-
-    let mut inner = w.into_inner();
-    save_params(&state.params, &mut inner)?;
-    save_params(&moments_store(&state.opt.m), &mut inner)?;
-    save_params(&moments_store(&state.opt.v), &mut inner)?;
-    Ok(())
+    let mut sections = vec![head];
+    sections.extend(param_sections(&state.params));
+    sections.push(moments_section(&state.opt.m));
+    sections.push(moments_section(&state.opt.v));
+    durable::encode(MAGIC, VERSION, &sections)
 }
 
-/// Deserialize a [`TrainState`] written by [`save_train_state`], verifying
-/// the header CRC and every embedded blob checksum.
+/// Deserialize a [`TrainState`] written by [`encode_train_state`], verifying
+/// every section checksum and the footer.
 ///
 /// # Errors
 /// [`io::ErrorKind::InvalidData`] on bad magic/version, truncation,
-/// checksum mismatch, or implausible header-declared lengths.
-pub fn load_train_state<R: Read>(r: R) -> io::Result<TrainState> {
-    let mut r = CrcReader::new(r);
-    let mut magic = [0u8; 4];
-    read_checked(&mut r, &mut magic, "magic")?;
-    if &magic != MAGIC {
-        return Err(invalid("bad train-state magic"));
-    }
-    let version = read_u32(&mut r, "version")?;
-    if version != VERSION {
+/// checksum mismatch, trailing bytes, or implausible declared lengths.
+pub fn load_train_state(bytes: &[u8]) -> io::Result<TrainState> {
+    let sections = durable::parse(bytes, MAGIC, VERSION)?.into_intact()?;
+    let [head, params @ .., m, v] = sections.as_slice() else {
         return Err(invalid(format!(
-            "unsupported train-state version {version}"
+            "train state holds {} section(s), needs at least 3",
+            sections.len()
         )));
-    }
-    let epochs_done = read_u64(&mut r, "epoch counter")? as usize;
-    let seed = read_u64(&mut r, "seed")?;
-    let t = read_u64(&mut r, "adam step count")?;
-    let history_len = read_u32(&mut r, "history length")? as usize;
-    if history_len > MAX_LIST_LEN {
-        return Err(invalid(format!("implausible history length {history_len}")));
-    }
+    };
+    let mut r = Cursor::new(&bytes[head.clone()]);
+    let epochs_done = r.u64("epoch counter")? as usize;
+    let seed = r.u64("seed")?;
+    let t = r.u64("adam step count")?;
+    let history_len = r.count(MAX_LIST_LEN, "history length")?;
     let mut history = Vec::with_capacity(history_len.min(1024));
     for _ in 0..history_len {
-        let epoch = read_u32(&mut r, "history epoch")? as usize;
-        let loss = f32::from_le_bytes(read_4(&mut r, "history loss")?);
-        let retries = read_u32(&mut r, "history retries")? as usize;
         history.push(EpochStats {
-            epoch,
-            loss,
-            retries,
+            epoch: r.u32("history epoch")? as usize,
+            loss: r.f32("history loss")?,
+            retries: r.u32("history retries")? as usize,
         });
     }
-    let recoveries_len = read_u32(&mut r, "recovery length")? as usize;
-    if recoveries_len > MAX_LIST_LEN {
-        return Err(invalid(format!(
-            "implausible recovery length {recoveries_len}"
-        )));
-    }
+    let recoveries_len = r.count(MAX_LIST_LEN, "recovery length")?;
     let mut recoveries = Vec::with_capacity(recoveries_len.min(1024));
     for _ in 0..recoveries_len {
-        let epoch = read_u32(&mut r, "recovery epoch")? as usize;
-        let attempt = read_u32(&mut r, "recovery attempt")? as usize;
-        let mut cause = [0u8; 1];
-        read_checked(&mut r, &mut cause, "recovery cause")?;
-        let cause = match cause[0] {
+        let epoch = r.u32("recovery epoch")? as usize;
+        let attempt = r.u32("recovery attempt")? as usize;
+        let cause = match r.u8("recovery cause")? {
             0 => DivergenceCause::NonFiniteLoss,
             1 => DivergenceCause::NonFiniteGradient,
             c => return Err(invalid(format!("unknown divergence cause tag {c}"))),
         };
-        let lr_next = f32::from_le_bytes(read_4(&mut r, "recovery lr")?);
         recoveries.push(RecoveryEvent {
             epoch,
             attempt,
             cause,
-            lr_next,
+            lr_next: r.f32("recovery lr")?,
         });
     }
-    let expect = r.total_crc();
-    let mut stored = [0u8; 4];
-    r.read_exact_unchecked(&mut stored).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            invalid("train state truncated while reading header checksum")
-        } else {
-            e
-        }
-    })?;
-    if u32::from_le_bytes(stored) != expect {
-        return Err(invalid("train-state header checksum mismatch"));
-    }
-
-    let params = load_params(&mut r)?;
-    let m = moments_from_store(load_params(&mut r)?)?;
-    let v = moments_from_store(load_params(&mut r)?)?;
+    r.finish("train-state header")?;
     Ok(TrainState {
         epochs_done,
         seed,
-        params,
-        opt: AdamState { t, m, v },
+        params: params_from_sections(bytes, params)?,
+        opt: AdamState {
+            t,
+            m: moments_from(&bytes[m.clone()])?,
+            v: moments_from(&bytes[v.clone()])?,
+        },
         history,
         recoveries,
     })
 }
 
-/// Pack sparse moment slots into a `ParamStore`: slot `i` with a moment
-/// becomes a parameter named `i`; absent slots are encoded by a final
-/// sentinel `len` parameter recording the slot count. This reuses the
-/// checksummed `AMDG` format instead of inventing another container.
-fn moments_store(slots: &[Option<Matrix>]) -> ParamStore {
-    let mut ps = ParamStore::new();
-    for (i, slot) in slots.iter().enumerate() {
-        if let Some(m) = slot {
-            ps.register(i.to_string(), m.clone());
+/// Encode Adam moment slots: `u32 slot count`, then per slot a presence
+/// byte and, when present, the matrix.
+fn moments_section(slots: &[Option<Matrix>]) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(&(slots.len() as u32).to_le_bytes());
+    for slot in slots {
+        match slot {
+            Some(m) => {
+                out.push(1);
+                put_matrix(&mut out, m);
+            }
+            None => out.push(0),
         }
     }
-    ps.register(format!("len:{}", slots.len()), Matrix::zeros(1, 1));
-    ps
+    out
 }
 
-/// Inverse of [`moments_store`].
-fn moments_from_store(ps: ParamStore) -> io::Result<Vec<Option<Matrix>>> {
-    let mut len: Option<usize> = None;
-    let mut entries: Vec<(usize, Matrix)> = Vec::new();
-    for (id, value) in ps.iter() {
-        let name = ps.name(id);
-        if let Some(n) = name.strip_prefix("len:") {
-            len = Some(
-                n.parse()
-                    .map_err(|_| invalid(format!("bad moment slot count {n:?}")))?,
-            );
-        } else {
-            let i: usize = name
-                .parse()
-                .map_err(|_| invalid(format!("bad moment slot name {name:?}")))?;
-            entries.push((i, (**value).clone()));
-        }
+/// Inverse of [`moments_section`].
+fn moments_from(section: &[u8]) -> io::Result<Vec<Option<Matrix>>> {
+    let mut r = Cursor::new(section);
+    let len = r.count(MAX_LIST_LEN, "moment slot count")?;
+    let mut slots = Vec::with_capacity(len.min(1024));
+    for i in 0..len {
+        slots.push(match r.u8("moment slot tag")? {
+            0 => None,
+            1 => Some(r.matrix("moment slot")?),
+            tag => return Err(invalid(format!("bad tag {tag} on moment slot {i}"))),
+        });
     }
-    let len = len.ok_or_else(|| invalid("moment blob missing slot count"))?;
-    if len > MAX_LIST_LEN {
-        return Err(invalid(format!("implausible moment slot count {len}")));
-    }
-    let mut slots = vec![None; len];
-    for (i, m) in entries {
-        let slot = slots
-            .get_mut(i)
-            .ok_or_else(|| invalid(format!("moment slot {i} beyond count {len}")))?;
-        *slot = Some(m);
-    }
+    r.finish("moment section")?;
     Ok(slots)
 }
 
@@ -293,16 +255,14 @@ impl CheckpointDir {
     /// pass `None` in production.
     ///
     /// # Errors
-    /// [`Error::CheckpointIo`] on serialization or I/O failure.
+    /// [`Error::CheckpointIo`] on I/O failure.
     pub fn save(&self, state: &TrainState, keep: usize, fault: Option<DiskFault>) -> Result<u64> {
         let generation = state.epochs_done as u64;
-        let mut buf = Vec::new();
-        save_train_state(state, &mut buf).map_err(|e| Error::CheckpointIo {
-            detail: format!("cannot serialize generation {generation}: {e}"),
-        })?;
         let path = self.generation_path(generation);
-        write_atomic(&path, &buf, fault).map_err(|e| Error::CheckpointIo {
-            detail: format!("cannot write {}: {e}", path.display()),
+        write_atomic(&path, &encode_train_state(state), fault).map_err(|e| {
+            Error::CheckpointIo {
+                detail: format!("cannot write {}: {e}", path.display()),
+            }
         })?;
         self.prune(keep.max(2));
         Ok(generation)
@@ -326,7 +286,7 @@ impl CheckpointDir {
         let mut failures = Vec::new();
         for &g in generations.iter().rev() {
             let path = self.generation_path(g);
-            match std::fs::File::open(&path).and_then(|f| load_train_state(io::BufReader::new(f))) {
+            match std::fs::read(&path).and_then(|bytes| load_train_state(&bytes)) {
                 Ok(state) => return Ok(Some((g, state))),
                 Err(e) => failures.push(format!("generation {g}: {e}")),
             }
@@ -360,36 +320,6 @@ impl CheckpointDir {
             }
         }
     }
-}
-
-fn invalid(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
-fn read_checked<R: Read>(r: &mut R, buf: &mut [u8], what: &str) -> io::Result<()> {
-    r.read_exact(buf).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            invalid(format!("train state truncated while reading {what}"))
-        } else {
-            e
-        }
-    })
-}
-
-fn read_4<R: Read>(r: &mut R, what: &str) -> io::Result<[u8; 4]> {
-    let mut buf = [0u8; 4];
-    read_checked(r, &mut buf, what)?;
-    Ok(buf)
-}
-
-fn read_u32<R: Read>(r: &mut R, what: &str) -> io::Result<u32> {
-    Ok(u32::from_le_bytes(read_4(r, what)?))
-}
-
-fn read_u64<R: Read>(r: &mut R, what: &str) -> io::Result<u64> {
-    let mut buf = [0u8; 8];
-    read_checked(r, &mut buf, what)?;
-    Ok(u64::from_le_bytes(buf))
 }
 
 #[cfg(test)]
@@ -456,8 +386,7 @@ mod tests {
     #[test]
     fn train_state_roundtrip() {
         let state = sample_state(3);
-        let mut buf = Vec::new();
-        save_train_state(&state, &mut buf).expect("save");
+        let buf = encode_train_state(&state);
         let loaded = load_train_state(buf.as_slice()).expect("load");
         assert_states_equal(&state, &loaded);
     }
@@ -465,8 +394,7 @@ mod tests {
     #[test]
     fn every_byte_flip_in_state_is_detected() {
         let state = sample_state(2);
-        let mut buf = Vec::new();
-        save_train_state(&state, &mut buf).expect("save");
+        let buf = encode_train_state(&state);
         for pos in (0..buf.len()).step_by(3) {
             let mut corrupt = buf.clone();
             corrupt[pos] ^= 0x20;
@@ -480,14 +408,21 @@ mod tests {
     #[test]
     fn truncation_anywhere_is_rejected() {
         let state = sample_state(2);
-        let mut buf = Vec::new();
-        save_train_state(&state, &mut buf).expect("save");
+        let buf = encode_train_state(&state);
         for cut in (0..buf.len()).step_by(5) {
             assert!(
                 load_train_state(&buf[..cut]).is_err(),
                 "cut at {cut} must be rejected"
             );
         }
+    }
+
+    #[test]
+    fn appended_bytes_are_rejected() {
+        let mut buf = encode_train_state(&sample_state(2));
+        buf.push(0);
+        let err = load_train_state(&buf).expect_err("must fail");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

@@ -26,7 +26,6 @@ pub mod model;
 pub mod pipeline;
 pub mod runtime;
 pub mod sample;
-pub mod sample_cache;
 pub mod schedule;
 pub mod store;
 pub mod train;
@@ -48,7 +47,6 @@ pub use sample::{
     message_graph_for, message_graph_from_messages, prepare_batch, prepare_batch_obs,
     prepare_sample, prepare_sample_obs, PreparedSample, SampleTimers,
 };
-pub use sample_cache::SampleCache;
 pub use schedule::{EarlyStopping, LrSchedule};
 pub use store::{SampleStore, StoreKey};
 pub use train::{

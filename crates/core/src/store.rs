@@ -9,39 +9,36 @@
 //! label), persisted in a single checksummed file, so warm runs skip the
 //! expensive phases entirely.
 //!
-//! Format (`AMSS` version 1, little-endian):
+//! Format (`AMSS` version 2): a [`durable`](amdgcnn_tensor::durable)
+//! container, little-endian:
 //! ```text
-//! magic "AMSS" | u32 version
-//! u64 dataset digest | u64 feature fingerprint | u64 graph generation
-//! u32 record count | u32 header CRC-32
-//! per record:
-//!   u32 body length | body | u32 section CRC-32
-//!   body: u32 u | u32 v | u32 class
-//!         u32 num_nodes | u32 num_edges
-//!         per edge: u32 u | u32 v | u16 etype
-//!         per node: u32 drnl
-//!         u32 rows | u32 cols | f32 features...
-//!         u32 num_messages
-//!         per message: u32 src | u32 dst | u32 orig edge (MAX = self-loop)
-//! u32 footer CRC-32 (over every checksummed byte in the file)
+//! section 0:    u64 dataset digest | u64 feature fingerprint | u64 graph generation
+//! section 1..n: one record each, ordered by key:
+//!   u32 u | u32 v | u32 class
+//!   u32 num_nodes | u32 num_edges
+//!   per edge: u32 u | u32 v | u16 etype
+//!   per node: u32 drnl
+//!   u32 rows | u32 cols | f32 features...
+//!   u32 num_messages
+//!   per message: u32 src | u32 dst | u32 orig edge (MAX = self-loop)
 //! ```
 //!
 //! Integrity and staleness rules:
 //! - Writes are crash-safe ([`write_atomic`]: temp + fsync + rename), so a
 //!   crash leaves the previous complete store or the new one.
-//! - The header key ([`StoreKey`]) binds the store to the *content* of the
-//!   dataset (graph digest + edge attributes + splits + subgraph config),
-//!   the feature fingerprint, and the graph generation. A mismatch on open
-//!   is a typed [`Error::StoreMismatch`] — a stale store is refused, never
-//!   silently reused.
-//! - Every record carries its own CRC-32, and the file a footer CRC-32.
-//!   A clean open takes the fast path: one checksum sweep against the
-//!   footer (which covers every record body), after which bodies are
-//!   zero-copy slices of the shared file buffer. Only when that sweep
-//!   fails does the salvage scan verify records individually: a damaged
-//!   record is dropped (recorded as a typed [`Error::StoreCorrupt`] in
-//!   [`SampleStore::damage`]) and surfaces as a store *miss* — the sample
-//!   is re-prepared — never as a garbage sample.
+//! - The key section ([`StoreKey`]) binds the store to the *content* of
+//!   the dataset (graph digest + edge attributes + splits + subgraph
+//!   config), the feature fingerprint, and the graph generation. A
+//!   mismatch on open is a typed [`Error::StoreMismatch`] — a stale store
+//!   is refused, never silently reused. A damaged header or key section
+//!   cannot be attributed to any key and is a typed
+//!   [`Error::StoreCorrupt`].
+//! - Every record is its own checksummed section. Opening is one pass of
+//!   the container parse — one checksum sweep of the file — after which
+//!   record bodies are zero-copy slices of the shared file buffer. A
+//!   damaged or lost record is dropped (recorded as a typed
+//!   [`Error::StoreCorrupt`] in [`SampleStore::damage`]) and surfaces as a
+//!   store *miss* — the sample is re-prepared — never as a garbage sample.
 //! - Each record also persists its sorted message topology (the output of
 //!   the tensorize sort), so decoding rebuilds the message graph through
 //!   [`crate::sample::message_graph_from_messages`] with linear copies
@@ -56,21 +53,17 @@ use crate::sample::{message_graph_from_messages, PreparedSample};
 use amdgcnn_data::{Dataset, LabeledLink};
 use amdgcnn_graph::khop::NeighborhoodMode;
 use amdgcnn_graph::{graph_digest, LocalEdge};
-use amdgcnn_tensor::durable::{crc32_update, write_atomic, CrcReader, CrcWriter, DiskFault};
-use amdgcnn_tensor::io::write_matrix;
+use amdgcnn_tensor::durable::{self, crc32_update, put_matrix, write_atomic, Cursor, DiskFault};
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"AMSS";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
-/// Hard ceilings on header-declared sizes — a store we wrote ourselves
-/// stays far below them; anything above is corrupt or hostile and is
-/// rejected before memory is committed to it.
-const MAX_RECORDS: usize = 1 << 24;
-const MAX_BODY_BYTES: usize = 1 << 28;
+/// Ceiling on a record's declared node or edge count — a store we wrote
+/// ourselves stays far below it; anything above is corrupt or hostile and
+/// is rejected before memory is committed to it.
 const MAX_LIST_LEN: usize = 1 << 24;
 
 /// The fingerprint that binds a store file to the exact inputs of sample
@@ -146,8 +139,8 @@ fn record_key(link: &LabeledLink) -> RecordKey {
     (link.u, link.v, link.class as u32)
 }
 
-/// An encoded record body: freshly inserted records own their bytes; a
-/// clean open keeps bodies as slices into the one shared file buffer, so
+/// An encoded record body: freshly inserted records own their bytes; an
+/// opened store keeps bodies as slices into the one shared file buffer, so
 /// opening never copies record payloads.
 #[derive(Debug)]
 enum Body {
@@ -178,8 +171,8 @@ pub struct SampleStore {
     /// Encoded record bodies, ordered by key so serialization is
     /// byte-deterministic regardless of insertion order.
     records: BTreeMap<RecordKey, Body>,
-    /// Typed damage found while opening (each entry is one refused record
-    /// or a file-level verification failure that cost the record tail).
+    /// Typed damage found while opening (each entry is one refused record,
+    /// a lost tail, or a footer failure).
     damage: Vec<Error>,
     dirty: bool,
 }
@@ -188,298 +181,70 @@ impl SampleStore {
     /// Open (or create) the store at `path` for the given key.
     ///
     /// A missing file yields an empty store. An existing file must carry
-    /// the `AMSS` magic, a supported version, a valid header CRC, and the
-    /// same [`StoreKey`]; its records are then scanned with per-record
-    /// CRC verification — damaged records are dropped (see
-    /// [`damage`](Self::damage)), everything else is available for
-    /// [`get`](Self::get).
+    /// the `AMSS` magic, the current version, an intact header and key
+    /// section, and the same [`StoreKey`]; every record section whose CRC
+    /// holds is then available for [`get`](Self::get), and the rest are
+    /// dropped (see [`damage`](Self::damage)).
     ///
     /// # Errors
     /// - [`Error::StoreIo`] on plain I/O failure.
-    /// - [`Error::StoreCorrupt`] when the header itself is unreadable
-    ///   (bad magic, unsupported version, header CRC mismatch) — the file
+    /// - [`Error::StoreCorrupt`] when the header or the key section is
+    ///   unreadable (bad magic, other version, CRC mismatch) — the file
     ///   cannot be attributed to any key, so it is refused outright.
-    /// - [`Error::StoreMismatch`] when the header is intact but belongs to
+    /// - [`Error::StoreMismatch`] when the key is intact but belongs to
     ///   different data, features, or graph generation.
     pub fn open(path: impl Into<PathBuf>, key: StoreKey) -> Result<Self> {
         let path = path.into();
-        let mut store = Self {
-            path,
-            key,
-            records: BTreeMap::new(),
-            damage: Vec::new(),
-            dirty: false,
-        };
-        let bytes = match std::fs::read(&store.path) {
+        let bytes = match std::fs::read(&path) {
             Ok(b) => Arc::new(b),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(store),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                return Ok(Self {
+                    path,
+                    key,
+                    records: BTreeMap::new(),
+                    damage: Vec::new(),
+                    dirty: false,
+                })
+            }
             Err(e) => {
                 return Err(Error::StoreIo {
-                    detail: format!("reading {}: {e}", store.path.display()),
+                    detail: format!("reading {}: {e}", path.display()),
                 })
             }
         };
-        store.verify_header(&bytes)?;
-        if !store.fast_scan(&bytes) {
-            // Something is damaged: re-walk with per-record verification to
-            // salvage every record whose own CRC still holds.
-            store.scan(&bytes)?;
-        }
-        Ok(store)
-    }
-
-    /// Verify magic, version, header CRC, and [`StoreKey`], returning the
-    /// declared record count. All failures here are hard, typed errors —
-    /// shared by the fast and salvage scan paths.
-    fn verify_header(&self, bytes: &[u8]) -> Result<usize> {
         let corrupt = |detail: String| Error::StoreCorrupt { detail };
-        if bytes.len() < 4 {
-            return Err(corrupt("truncated magic".into()));
-        }
-        if &bytes[..4] != MAGIC {
-            let magic = &bytes[..4];
-            return Err(corrupt(format!("bad magic {magic:02x?}")));
-        }
-        if bytes.len() < 8 {
-            return Err(corrupt("truncated version".into()));
-        }
-        let version = le_u32(bytes, 4);
-        if version != VERSION {
-            return Err(corrupt(format!("unsupported store version {version}")));
-        }
-        if bytes.len() < 36 {
-            return Err(corrupt("truncated header".into()));
-        }
-        let header_crc = crc32_update(0xFFFF_FFFF, &bytes[..36]) ^ 0xFFFF_FFFF;
-        if bytes.len() < 40 {
-            return Err(corrupt("truncated header CRC".into()));
-        }
-        let stored = le_u32(bytes, 36);
-        if stored != header_crc {
-            return Err(corrupt(format!(
-                "header CRC mismatch: stored {stored:#010x}, computed {header_crc:#010x}"
-            )));
-        }
-        let count = le_u32(bytes, 32) as usize;
-        if count > MAX_RECORDS {
-            return Err(corrupt(format!("implausible record count {count}")));
-        }
-        let found = StoreKey {
-            dataset_digest: le_u64(bytes, 8),
-            feature_fingerprint: le_u64(bytes, 16),
-            graph_generation: le_u64(bytes, 24),
-        };
-        if found != self.key {
-            let component = if found.dataset_digest != self.key.dataset_digest {
-                format!(
-                    "dataset digest {:#018x} vs expected {:#018x}",
-                    found.dataset_digest, self.key.dataset_digest
-                )
-            } else if found.feature_fingerprint != self.key.feature_fingerprint {
-                format!(
-                    "feature fingerprint {:#018x} vs expected {:#018x}",
-                    found.feature_fingerprint, self.key.feature_fingerprint
-                )
-            } else {
-                format!(
-                    "graph generation {} vs expected {}",
-                    found.graph_generation, self.key.graph_generation
-                )
-            };
-            return Err(Error::StoreMismatch { detail: component });
-        }
-        Ok(count)
-    }
-
-    /// The clean-open fast path: one CRC pass over every checksummed byte,
-    /// compared against the footer. A matching footer proves every record
-    /// body intact (the footer covers all of them), so per-record CRC
-    /// verification is skipped and bodies become zero-copy slices of the
-    /// shared file buffer — the dominant cost of a warm open is exactly one
-    /// checksum sweep of the file. Returns `false` (leaving the store
-    /// untouched) on any structural or checksum failure; the caller then
-    /// falls back to the per-record salvage scan.
-    fn fast_scan(&mut self, bytes: &Arc<Vec<u8>>) -> bool {
-        let b: &[u8] = bytes;
-        let count = le_u32(b, 32) as usize;
-        let mut state = crc32_update(0xFFFF_FFFF, &b[..36]);
-        let mut pos = 40;
-        let mut entries: Vec<(RecordKey, usize, usize)> = Vec::with_capacity(count);
-        for _ in 0..count {
-            if b.len() < pos + 4 {
-                return false;
-            }
-            let body_len = le_u32(b, pos) as usize;
-            if body_len > MAX_BODY_BYTES {
-                return false;
-            }
-            let body_start = pos + 4;
-            let Some(body_end) = body_start.checked_add(body_len) else {
-                return false;
-            };
-            // Body plus its (unverified here) stored section CRC.
-            if b.len() < body_end + 4 {
-                return false;
-            }
-            state = crc32_update(state, &b[pos..body_end]);
-            let Some(key) = body_record_key(&b[body_start..body_end]) else {
-                return false;
-            };
-            entries.push((key, body_start, body_len));
-            pos = body_end + 4;
-        }
-        if b.len() < pos + 4 || le_u32(b, pos) != state ^ 0xFFFF_FFFF {
-            return false;
-        }
-        for (key, off, len) in entries {
-            self.records.insert(
-                key,
-                Body::Shared {
-                    buf: Arc::clone(bytes),
-                    off,
-                    len,
-                },
-            );
-        }
-        true
-    }
-
-    /// Parse `bytes` into `self.records`, verifying header, key, and
-    /// per-record CRCs. Record-level damage is recorded and skipped;
-    /// header-level damage is a hard error.
-    fn scan(&mut self, bytes: &[u8]) -> Result<()> {
-        let corrupt = |detail: String| Error::StoreCorrupt { detail };
-        let mut r = CrcReader::new(bytes);
-        let mut magic = [0u8; 4];
-        read_checked(&mut r, &mut magic).map_err(|_| corrupt("truncated magic".into()))?;
-        if &magic != MAGIC {
-            return Err(corrupt(format!("bad magic {magic:02x?}")));
-        }
-        let version = read_u32(&mut r).map_err(|_| corrupt("truncated version".into()))?;
-        if version != VERSION {
-            return Err(corrupt(format!("unsupported store version {version}")));
-        }
-        let dataset_digest = read_u64(&mut r).map_err(|_| corrupt("truncated header".into()))?;
-        let feature_fingerprint =
-            read_u64(&mut r).map_err(|_| corrupt("truncated header".into()))?;
-        let graph_generation = read_u64(&mut r).map_err(|_| corrupt("truncated header".into()))?;
-        let count = read_u32(&mut r).map_err(|_| corrupt("truncated header".into()))? as usize;
-        let header_crc = r.section_crc();
-        let stored = read_crc(&mut r).map_err(|_| corrupt("truncated header CRC".into()))?;
-        if stored != header_crc {
-            return Err(corrupt(format!(
-                "header CRC mismatch: stored {stored:#010x}, computed {header_crc:#010x}"
-            )));
-        }
-        if count > MAX_RECORDS {
-            return Err(corrupt(format!("implausible record count {count}")));
-        }
-        let found = StoreKey {
-            dataset_digest,
-            feature_fingerprint,
-            graph_generation,
-        };
-        if found != self.key {
-            let component = if dataset_digest != self.key.dataset_digest {
-                format!(
-                    "dataset digest {dataset_digest:#018x} vs expected {:#018x}",
-                    self.key.dataset_digest
-                )
-            } else if feature_fingerprint != self.key.feature_fingerprint {
-                format!(
-                    "feature fingerprint {feature_fingerprint:#018x} vs expected {:#018x}",
-                    self.key.feature_fingerprint
-                )
-            } else {
-                format!(
-                    "graph generation {graph_generation} vs expected {}",
-                    self.key.graph_generation
-                )
-            };
-            return Err(Error::StoreMismatch { detail: component });
-        }
-
-        for idx in 0..count {
-            r.reset_section();
-            let body_len = match read_u32(&mut r) {
-                Ok(n) => n as usize,
-                Err(_) => {
-                    self.damage.push(corrupt(format!(
-                        "truncated before record {idx} of {count}: {} record(s) lost",
-                        count - idx
-                    )));
-                    self.dirty = true;
-                    return Ok(());
+        let container =
+            durable::parse(&bytes, MAGIC, VERSION).map_err(|e| corrupt(e.to_string()))?;
+        let mut sections = container.sections.into_iter();
+        let found = sections
+            .next()
+            .flatten()
+            .and_then(|range| decode_key(&bytes[range]))
+            .ok_or_else(|| corrupt("store key section damaged or missing".into()))?;
+        check_key(found, key)?;
+        let mut damage: Vec<Error> = container.damage.into_iter().map(corrupt).collect();
+        let mut records = BTreeMap::new();
+        for (idx, range) in sections.enumerate() {
+            let Some(range) = range else { continue };
+            match body_record_key(&bytes[range.clone()]) {
+                Some(k) => {
+                    let body = Body::Shared {
+                        buf: Arc::clone(&bytes),
+                        off: range.start,
+                        len: range.len(),
+                    };
+                    records.insert(k, body);
                 }
-            };
-            if body_len > MAX_BODY_BYTES {
-                // The length field itself is corrupt: nothing after it can
-                // be located, so the rest of the file is lost.
-                self.damage.push(corrupt(format!(
-                    "implausible body length {body_len} in record {idx}: {} record(s) lost",
-                    count - idx
-                )));
-                self.dirty = true;
-                return Ok(());
-            }
-            let mut body = vec![0u8; body_len];
-            if read_checked(&mut r, &mut body).is_err() {
-                self.damage.push(corrupt(format!(
-                    "truncated inside record {idx} of {count}: {} record(s) lost",
-                    count - idx
-                )));
-                self.dirty = true;
-                return Ok(());
-            }
-            let section = r.section_crc();
-            let stored = match read_crc(&mut r) {
-                Ok(c) => c,
-                Err(_) => {
-                    self.damage
-                        .push(corrupt(format!("truncated CRC of record {idx}")));
-                    self.dirty = true;
-                    return Ok(());
-                }
-            };
-            if stored != section {
-                // The record is damaged but its length framing held, so the
-                // scan can resync on the next record: one miss, not a
-                // poisoned store.
-                self.damage.push(corrupt(format!(
-                    "record {idx} CRC mismatch: stored {stored:#010x}, computed {section:#010x}"
-                )));
-                self.dirty = true;
-                continue;
-            }
-            match body_record_key(&body) {
-                Some(key) => {
-                    self.records.insert(key, Body::Owned(body));
-                }
-                None => {
-                    self.damage
-                        .push(corrupt(format!("record {idx} too short for its key")));
-                    self.dirty = true;
-                }
+                None => damage.push(corrupt(format!("record {idx} too short for its key"))),
             }
         }
-        let footer = r.total_crc();
-        match read_crc(&mut r) {
-            Ok(stored) if stored == footer => {}
-            Ok(stored) => {
-                // Every surviving record passed its own CRC; the corruption
-                // sits in framing or stored-checksum bytes. Keep the
-                // verified records, note the damage, rewrite on flush.
-                self.damage.push(corrupt(format!(
-                    "footer CRC mismatch: stored {stored:#010x}, computed {footer:#010x}"
-                )));
-                self.dirty = true;
-            }
-            Err(_) => {
-                self.damage.push(corrupt("truncated footer CRC".into()));
-                self.dirty = true;
-            }
-        }
-        Ok(())
+        Ok(Self {
+            path,
+            key,
+            records,
+            dirty: !damage.is_empty(),
+            damage,
+        })
     }
 
     /// The key this store was opened with.
@@ -544,35 +309,14 @@ impl SampleStore {
     /// # Errors
     /// [`Error::StoreIo`] when the write fails.
     pub fn flush(&mut self, fault: Option<DiskFault>) -> Result<()> {
-        let mut w = CrcWriter::new(Vec::new());
-        let io_err = |e: std::io::Error| Error::StoreIo {
-            detail: format!("serializing sample store: {e}"),
-        };
-        w.write_all(MAGIC).map_err(io_err)?;
-        w.write_all(&VERSION.to_le_bytes()).map_err(io_err)?;
-        w.write_all(&self.key.dataset_digest.to_le_bytes())
-            .map_err(io_err)?;
-        w.write_all(&self.key.feature_fingerprint.to_le_bytes())
-            .map_err(io_err)?;
-        w.write_all(&self.key.graph_generation.to_le_bytes())
-            .map_err(io_err)?;
-        w.write_all(&(self.records.len() as u32).to_le_bytes())
-            .map_err(io_err)?;
-        let header_crc = w.section_crc();
-        w.write_unchecked(&header_crc.to_le_bytes())
-            .map_err(io_err)?;
-        for body in self.records.values() {
-            let body = body.as_slice();
-            w.reset_section();
-            w.write_all(&(body.len() as u32).to_le_bytes())
-                .map_err(io_err)?;
-            w.write_all(body).map_err(io_err)?;
-            let section = w.section_crc();
-            w.write_unchecked(&section.to_le_bytes()).map_err(io_err)?;
-        }
-        let footer = w.total_crc();
-        w.write_unchecked(&footer.to_le_bytes()).map_err(io_err)?;
-        let bytes = w.into_inner();
+        let mut key = Vec::with_capacity(24);
+        key.extend_from_slice(&self.key.dataset_digest.to_le_bytes());
+        key.extend_from_slice(&self.key.feature_fingerprint.to_le_bytes());
+        key.extend_from_slice(&self.key.graph_generation.to_le_bytes());
+        let mut sections = Vec::with_capacity(1 + self.records.len());
+        sections.push(key.as_slice());
+        sections.extend(self.records.values().map(Body::as_slice));
+        let bytes = durable::encode(MAGIC, VERSION, &sections);
         write_atomic(&self.path, &bytes, fault).map_err(|e| Error::StoreIo {
             detail: format!("writing {}: {e}", self.path.display()),
         })?;
@@ -581,23 +325,45 @@ impl SampleStore {
     }
 }
 
-fn le_u32(b: &[u8], off: usize) -> u32 {
-    u32::from_le_bytes(b[off..off + 4].try_into().expect("4 bytes"))
+fn decode_key(section: &[u8]) -> Option<StoreKey> {
+    let mut r = Cursor::new(section);
+    let key = StoreKey {
+        dataset_digest: r.u64("dataset digest").ok()?,
+        feature_fingerprint: r.u64("feature fingerprint").ok()?,
+        graph_generation: r.u64("graph generation").ok()?,
+    };
+    r.finish("store key").ok()?;
+    Some(key)
 }
 
-fn le_u64(b: &[u8], off: usize) -> u64 {
-    u64::from_le_bytes(b[off..off + 8].try_into().expect("8 bytes"))
+/// Refuse a store written for other inputs, naming the first diverging
+/// component.
+fn check_key(found: StoreKey, want: StoreKey) -> Result<()> {
+    let detail = if found.dataset_digest != want.dataset_digest {
+        format!(
+            "dataset digest {:#018x} vs expected {:#018x}",
+            found.dataset_digest, want.dataset_digest
+        )
+    } else if found.feature_fingerprint != want.feature_fingerprint {
+        format!(
+            "feature fingerprint {:#018x} vs expected {:#018x}",
+            found.feature_fingerprint, want.feature_fingerprint
+        )
+    } else if found.graph_generation != want.graph_generation {
+        format!(
+            "graph generation {} vs expected {}",
+            found.graph_generation, want.graph_generation
+        )
+    } else {
+        return Ok(());
+    };
+    Err(Error::StoreMismatch { detail })
 }
 
 /// Peek the record key at the head of an encoded body.
 fn body_record_key(body: &[u8]) -> Option<RecordKey> {
-    if body.len() < 12 {
-        return None;
-    }
-    let u = u32::from_le_bytes(body[0..4].try_into().expect("4 bytes"));
-    let v = u32::from_le_bytes(body[4..8].try_into().expect("4 bytes"));
-    let class = u32::from_le_bytes(body[8..12].try_into().expect("4 bytes"));
-    Some((u, v, class))
+    let mut r = Cursor::new(body);
+    Some((r.u32("u").ok()?, r.u32("v").ok()?, r.u32("class").ok()?))
 }
 
 fn encode_body(link: &LabeledLink, sample: &PreparedSample) -> Vec<u8> {
@@ -617,7 +383,7 @@ fn encode_body(link: &LabeledLink, sample: &PreparedSample) -> Vec<u8> {
     for &d in &sample.drnl {
         b.extend_from_slice(&d.to_le_bytes());
     }
-    write_matrix(&mut b, &sample.features).expect("Vec write is infallible");
+    put_matrix(&mut b, &sample.features);
     // Persist the tensorize sort's output so decode rebuilds the message
     // graph with linear copies instead of re-sorting.
     let csr = sample.graph.csr();
@@ -636,88 +402,64 @@ fn encode_body(link: &LabeledLink, sample: &PreparedSample) -> Vec<u8> {
 /// has already passed CRC verification; structural inconsistencies are
 /// still reported as typed corruption rather than trusted.
 fn decode_body(body: &[u8], ds: &Dataset) -> Result<PreparedSample> {
-    let corrupt = |detail: &str| Error::StoreCorrupt {
-        detail: detail.into(),
+    let corrupt = |e: std::io::Error| Error::StoreCorrupt {
+        detail: e.to_string(),
     };
-    let mut r: &[u8] = body;
-    let _u = read_u32(&mut r).map_err(|_| corrupt("record key"))?;
-    let _v = read_u32(&mut r).map_err(|_| corrupt("record key"))?;
-    let class = read_u32(&mut r).map_err(|_| corrupt("record key"))? as usize;
-    let num_nodes = read_u32(&mut r).map_err(|_| corrupt("node count"))? as usize;
-    let num_edges = read_u32(&mut r).map_err(|_| corrupt("edge count"))? as usize;
-    if num_nodes > MAX_LIST_LEN || num_edges > MAX_LIST_LEN {
-        return Err(corrupt("implausible subgraph size"));
-    }
-    if r.len() < num_edges * 10 + num_nodes * 4 {
-        return Err(corrupt("edge or DRNL section truncated"));
-    }
-    let mut edges = Vec::with_capacity(num_edges);
-    for c in r[..num_edges * 10].chunks_exact(10) {
-        edges.push(LocalEdge {
+    let mut r = Cursor::new(body);
+    r.take(8, "record key").map_err(corrupt)?;
+    let class = r.u32("record class").map_err(corrupt)? as usize;
+    let num_nodes = r.count(MAX_LIST_LEN, "node count").map_err(corrupt)?;
+    let num_edges = r.count(MAX_LIST_LEN, "edge count").map_err(corrupt)?;
+    let edge_bytes = r.take(num_edges * 10, "edges").map_err(corrupt)?;
+    let edges: Vec<LocalEdge> = edge_bytes
+        .chunks_exact(10)
+        .map(|c| LocalEdge {
             u: u32::from_le_bytes(c[0..4].try_into().expect("4 bytes")),
             v: u32::from_le_bytes(c[4..8].try_into().expect("4 bytes")),
             etype: u16::from_le_bytes(c[8..10].try_into().expect("2 bytes")),
-        });
-    }
-    r = &r[num_edges * 10..];
-    let mut drnl = Vec::with_capacity(num_nodes);
-    for c in r[..num_nodes * 4].chunks_exact(4) {
-        drnl.push(u32::from_le_bytes(c.try_into().expect("4 bytes")));
-    }
-    r = &r[num_nodes * 4..];
-    // Feature matrix, parsed in place (same layout as
-    // [`amdgcnn_tensor::io::read_matrix`], minus the Read-trait copies).
-    if r.len() < 8 {
-        return Err(corrupt("feature header truncated"));
-    }
-    let rows = le_u32(r, 0) as usize;
-    let cols = le_u32(r, 4) as usize;
-    r = &r[8..];
-    let total = rows.saturating_mul(cols);
-    if total > MAX_BODY_BYTES / 4 {
-        return Err(corrupt("implausible feature shape"));
-    }
-    if r.len() < total * 4 {
-        return Err(corrupt("feature data truncated"));
-    }
-    let data: Vec<f32> = r[..total * 4]
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
+        })
         .collect();
-    let features = amdgcnn_tensor::Matrix::from_vec(rows, cols, data);
-    r = &r[total * 4..];
+    let drnl: Vec<u32> = r
+        .take(num_nodes * 4, "DRNL labels")
+        .map_err(corrupt)?
+        .chunks_exact(4)
+        .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
+        .collect();
+    let features = r.matrix("features").map_err(corrupt)?;
+    let invalid = |detail: &str| Error::StoreCorrupt {
+        detail: detail.into(),
+    };
     if features.rows() != num_nodes {
-        return Err(corrupt("feature rows disagree with node count"));
+        return Err(invalid("feature rows disagree with node count"));
     }
     // Message topology: validate every invariant the rebuild constructor
     // would otherwise panic on — the bytes are CRC-guarded, but a CRC
     // collision must still surface as typed corruption, never a panic.
-    let num_messages = read_u32(&mut r).map_err(|_| corrupt("message count"))? as usize;
+    let num_messages = r.u32("message count").map_err(corrupt)? as usize;
     let self_edges = edges.iter().filter(|e| e.u == e.v).count();
     let expected = (edges.len() - self_edges) * 2 + self_edges + num_nodes;
     if num_messages != expected {
-        return Err(corrupt("message count disagrees with topology"));
+        return Err(invalid("message count disagrees with topology"));
     }
-    if r.len() < num_messages * 12 {
-        return Err(corrupt("message section truncated"));
-    }
+    let message_bytes = r.take(num_messages * 12, "messages").map_err(corrupt)?;
     let mut pairs = Vec::with_capacity(num_messages);
     let mut origins = Vec::with_capacity(num_messages);
     let mut prev_dst = 0u32;
-    for c in r[..num_messages * 12].chunks_exact(12) {
+    for c in message_bytes.chunks_exact(12) {
         let src = u32::from_le_bytes(c[0..4].try_into().expect("4 bytes"));
         let dst = u32::from_le_bytes(c[4..8].try_into().expect("4 bytes"));
         let orig = u32::from_le_bytes(c[8..12].try_into().expect("4 bytes"));
         if src as usize >= num_nodes || dst as usize >= num_nodes || dst < prev_dst {
-            return Err(corrupt("message topology out of order"));
+            return Err(invalid("message topology out of order"));
         }
         if orig != u32::MAX && orig as usize >= num_edges {
-            return Err(corrupt("message origin out of range"));
+            return Err(invalid("message origin out of range"));
         }
         prev_dst = dst;
         pairs.push((src, dst));
         origins.push(orig);
     }
+    r.finish("record").map_err(corrupt)?;
     let graph = message_graph_from_messages(ds, num_nodes, &edges, &pairs, &origins);
     Ok(PreparedSample {
         features,
@@ -728,29 +470,6 @@ fn decode_body(body: &[u8], ds: &Dataset) -> Result<PreparedSample> {
         edges,
         drnl,
     })
-}
-
-fn read_checked<R: Read>(r: &mut R, buf: &mut [u8]) -> std::io::Result<()> {
-    r.read_exact(buf)
-}
-
-fn read_u32<R: Read>(r: &mut R) -> std::io::Result<u32> {
-    let mut buf = [0u8; 4];
-    r.read_exact(&mut buf)?;
-    Ok(u32::from_le_bytes(buf))
-}
-
-fn read_u64<R: Read>(r: &mut R) -> std::io::Result<u64> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)?;
-    Ok(u64::from_le_bytes(buf))
-}
-
-/// Read a stored CRC value without folding it into the running checksums.
-fn read_crc<R: Read>(r: &mut CrcReader<R>) -> std::io::Result<u32> {
-    let mut buf = [0u8; 4];
-    r.read_exact_unchecked(&mut buf)?;
-    Ok(u32::from_le_bytes(buf))
 }
 
 #[cfg(test)]

@@ -3,26 +3,26 @@
 //! [`GnnKind`](am_dgcnn::GnnKind)), the feature-construction settings, the
 //! dataset identity, and the parameter checkpoint.
 //!
-//! Format (little-endian, after the JSON header everything is the
-//! [`save_params`] binary format with its own magic/version):
+//! Format (`AMDM` version 3): a [`durable`](amdgcnn_tensor::durable)
+//! container whose first section is the metadata JSON and whose remaining
+//! sections are the parameters, one each, in the `AMDG` section layout
+//! ([`param_sections`]):
 //!
 //! ```text
-//! magic "AMDM" | u32 version | u32 meta_len | meta JSON
-//!             | u32 header CRC-32 (v2+) | AMDG param blob
+//! section 0:    meta JSON
+//! section 1..n: u32 name len | name | u32 rows | u32 cols | f32 data...
 //! ```
 //!
-//! The JSON header keeps the metadata debuggable with `head -c`; the
-//! parameter blob stays binary so checkpoints round-trip bit-exactly.
-//! Since v2 the header carries a CRC-32 and the parameter blob is the
-//! checksummed `AMDG` v2 format, so any single flipped or missing byte in
-//! an artifact is detected at load. v1 files (no checksums) still load.
-//! [`save_model_file`] writes via temp + fsync + atomic rename, so an
-//! artifact path on disk never holds a half-written file.
+//! The JSON keeps the metadata debuggable; the parameters stay binary so
+//! checkpoints round-trip bit-exactly. The container checksums every
+//! section, so any flipped, missing or appended byte in an artifact is
+//! detected at load. [`save_model_file`] writes via temp + fsync + atomic
+//! rename, so an artifact path on disk never holds a half-written file.
 
 use am_dgcnn::{DgcnnModel, FeatureConfig, ModelConfig};
 use amdgcnn_data::Dataset;
-use amdgcnn_tensor::durable::{write_atomic, CrcReader, CrcWriter, DiskFault};
-use amdgcnn_tensor::io::{load_params, restore_into, save_params};
+use amdgcnn_tensor::durable::{self, invalid, write_atomic, DiskFault};
+use amdgcnn_tensor::io::{param_sections, params_from_sections, restore_into};
 use amdgcnn_tensor::ParamStore;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -30,11 +30,9 @@ use std::io::{self, Read, Write};
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"AMDM";
-const VERSION: u32 = 2;
-/// Oldest version [`load_model`] still reads (pre-checksum format).
-const MIN_VERSION: u32 = 1;
+const VERSION: u32 = 3;
 
-/// Cap on the header-declared JSON length; a real header is a few hundred
+/// Cap on the metadata JSON length; a real header is a few hundred
 /// bytes, so anything above this is a corrupt file, not a big model.
 const MAX_META_LEN: usize = 1 << 20;
 
@@ -108,79 +106,42 @@ impl ArtifactMeta {
     }
 }
 
-/// Write a complete model artifact: metadata header (with CRC-32) +
-/// checksummed parameter checkpoint.
-pub fn save_model<W: Write>(meta: &ArtifactMeta, ps: &ParamStore, w: W) -> io::Result<()> {
+fn encode_model(meta: &ArtifactMeta, ps: &ParamStore) -> io::Result<Vec<u8>> {
     let meta_json = serde_json::to_vec(meta)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-    let mut w = CrcWriter::new(w);
-    w.write_all(MAGIC)?;
-    w.write_all(&VERSION.to_le_bytes())?;
-    w.write_all(&(meta_json.len() as u32).to_le_bytes())?;
-    w.write_all(&meta_json)?;
-    let header_crc = w.total_crc();
-    w.write_unchecked(&header_crc.to_le_bytes())?;
-    save_params(ps, w.into_inner())
+    let mut sections = vec![meta_json];
+    sections.extend(param_sections(ps));
+    Ok(durable::encode(MAGIC, VERSION, &sections))
 }
 
-/// The old unchecksummed v1 writer, kept only so tests can prove v1 files
-/// still load.
-#[doc(hidden)]
-pub fn save_model_v1_for_tests<W: Write>(
-    meta: &ArtifactMeta,
-    ps: &ParamStore,
-    mut w: W,
-) -> io::Result<()> {
-    let meta_json = serde_json::to_vec(meta)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-    w.write_all(MAGIC)?;
-    w.write_all(&1u32.to_le_bytes())?;
-    w.write_all(&(meta_json.len() as u32).to_le_bytes())?;
-    w.write_all(&meta_json)?;
-    amdgcnn_tensor::io::save_params_v1_for_tests(ps, w)
+/// Write a complete model artifact: metadata and parameters as one
+/// checksummed container.
+pub fn save_model<W: Write>(meta: &ArtifactMeta, ps: &ParamStore, mut w: W) -> io::Result<()> {
+    w.write_all(&encode_model(meta, ps)?)
 }
 
-/// Read back an artifact written by [`save_model`] (v2, checksummed) or by
-/// the pre-checksum v1 writer.
+/// Read back an artifact written by [`save_model`].
 ///
-/// All header fields are untrusted: bad magic, unknown versions, oversized
-/// or truncated headers, malformed JSON, and (v2) checksum mismatches all
-/// fail with [`io::ErrorKind::InvalidData`].
-pub fn load_model<R: Read>(r: R) -> io::Result<(ArtifactMeta, ParamStore)> {
-    let mut r = CrcReader::new(r);
-    let mut magic = [0u8; 4];
-    read_exact_invalid(&mut r, &mut magic, "artifact magic")?;
-    if &magic != MAGIC {
-        return Err(invalid("bad artifact magic"));
+/// The whole artifact is read, then verified: bad magic, other versions,
+/// any section or footer checksum mismatch, truncation, trailing bytes,
+/// oversized or malformed metadata all fail with
+/// [`io::ErrorKind::InvalidData`].
+pub fn load_model<R: Read>(mut r: R) -> io::Result<(ArtifactMeta, ParamStore)> {
+    let mut bytes = Vec::new();
+    r.read_to_end(&mut bytes)?;
+    let sections = durable::parse(&bytes, MAGIC, VERSION)?.into_intact()?;
+    let (meta, params) = sections
+        .split_first()
+        .ok_or_else(|| invalid("artifact has no metadata section"))?;
+    if meta.len() > MAX_META_LEN {
+        return Err(invalid(format!(
+            "implausible metadata length {}",
+            meta.len()
+        )));
     }
-    let version = read_u32(&mut r, "artifact version")?;
-    if !(MIN_VERSION..=VERSION).contains(&version) {
-        return Err(invalid(format!("unsupported artifact version {version}")));
-    }
-    let meta_len = read_u32(&mut r, "metadata length")? as usize;
-    if meta_len > MAX_META_LEN {
-        return Err(invalid(format!("implausible metadata length {meta_len}")));
-    }
-    let mut meta_json = vec![0u8; meta_len];
-    read_exact_invalid(&mut r, &mut meta_json, "metadata")?;
-    if version >= 2 {
-        let expect = r.total_crc();
-        let mut stored = [0u8; 4];
-        r.read_exact_unchecked(&mut stored).map_err(|e| {
-            if e.kind() == io::ErrorKind::UnexpectedEof {
-                invalid("artifact truncated while reading header checksum")
-            } else {
-                e
-            }
-        })?;
-        if u32::from_le_bytes(stored) != expect {
-            return Err(invalid("artifact header checksum mismatch"));
-        }
-    }
-    let meta: ArtifactMeta = serde_json::from_slice(&meta_json)
+    let meta: ArtifactMeta = serde_json::from_slice(&bytes[meta.clone()])
         .map_err(|e| invalid(format!("bad artifact metadata: {e}")))?;
-    let ps = load_params(&mut r)?;
-    Ok((meta, ps))
+    Ok((meta, params_from_sections(&bytes, params)?))
 }
 
 /// Durably write an artifact to `path`: serialize, write to a temp file,
@@ -195,15 +156,12 @@ pub fn save_model_file(
     ps: &ParamStore,
     fault: Option<DiskFault>,
 ) -> io::Result<()> {
-    let mut buf = Vec::new();
-    save_model(meta, ps, &mut buf)?;
-    write_atomic(path, &buf, fault)
+    write_atomic(path, &encode_model(meta, ps)?, fault)
 }
 
 /// Load an artifact from `path` (counterpart of [`save_model_file`]).
 pub fn load_model_file(path: &Path) -> io::Result<(ArtifactMeta, ParamStore)> {
-    let f = std::fs::File::open(path)?;
-    load_model(io::BufReader::new(f))
+    load_model(std::fs::File::open(path)?)
 }
 
 /// Reconstruct a runnable model from a loaded artifact: build the
@@ -221,26 +179,6 @@ pub fn instantiate(
     let model = DgcnnModel::new(meta.model.clone(), &mut ps, &mut rng);
     restore_into(&mut ps, loaded)?;
     Ok((model, ps))
-}
-
-fn invalid(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
-fn read_exact_invalid<R: Read>(r: &mut R, buf: &mut [u8], what: &str) -> io::Result<()> {
-    r.read_exact(buf).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            invalid(format!("artifact truncated while reading {what}"))
-        } else {
-            e
-        }
-    })
-}
-
-fn read_u32<R: Read>(r: &mut R, what: &str) -> io::Result<u32> {
-    let mut buf = [0u8; 4];
-    read_exact_invalid(r, &mut buf, what)?;
-    Ok(u32::from_le_bytes(buf))
 }
 
 #[cfg(test)]
@@ -326,16 +264,13 @@ mod tests {
     }
 
     #[test]
-    fn v1_artifacts_without_checksums_still_load() {
-        let meta = sample_meta();
-        let ps = sample_store();
+    fn appended_bytes_are_rejected() {
         let mut buf = Vec::new();
-        save_model_v1_for_tests(&meta, &ps, &mut buf).expect("save v1");
-        let (meta2, ps2) = load_model(buf.as_slice()).expect("v1 must load");
-        assert_eq!(meta, meta2);
-        for (id, value) in ps.iter() {
-            assert_eq!(value.data(), ps2.get(id).data());
-        }
+        save_model(&sample_meta(), &sample_store(), &mut buf).expect("save");
+        buf.extend_from_slice(b"junk");
+        let err = load_model(buf.as_slice()).expect_err("must fail");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("after the AMDM footer"), "{err}");
     }
 
     #[test]

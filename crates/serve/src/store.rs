@@ -3,8 +3,8 @@
 //! A [`ModelStore`] holds the live [`InferenceEngine`] behind an `RwLock`
 //! and lets operators roll a new artifact in without stopping serving. The
 //! swap is **validated before it is visible**: the candidate artifact must
-//! pass the format's integrity checks (magic, version, header CRC, and the
-//! parameter blob's per-section checksums), hold only finite parameters,
+//! pass the format's integrity checks (magic, version, header CRC, every
+//! section checksum and the footer), hold only finite parameters,
 //! and bind cleanly to the served dataset. A candidate failing any of
 //! these is counted and rejected — the previous engine keeps serving,
 //! untouched, so a corrupt or mismatched artifact can never take down a

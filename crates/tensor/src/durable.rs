@@ -1,20 +1,37 @@
-//! Crash-safe file persistence: CRC-32 integrity checksums and
-//! write-to-temp → fsync → atomic-rename file replacement.
+//! Crash-safe file persistence: CRC-32 checksums, the one checksummed
+//! container every rewritten file uses, and write-to-temp → fsync →
+//! atomic-rename file replacement.
 //!
-//! Every on-disk artifact in this workspace (parameter checkpoints, model
-//! artifacts, training-state snapshots) goes through [`write_atomic`], so a
-//! crash at any instant leaves either the previous complete file or the new
-//! complete file — never a half-written one — and the checksums written by
-//! the callers let loaders detect the torn or bit-flipped files a broken
-//! disk can still produce.
+//! The parameter checkpoint (`AMDG`), the model artifact (`AMDM`), the
+//! training-state snapshot (`AMTS`) and the sample store (`AMSS`) are all
+//! one layout, written by [`encode`] and read by [`parse`]:
+//!
+//! ```text
+//! magic (4 bytes) | u32 version | u32 section count | u32 header CRC
+//! per section: u32 len | len bytes | u32 CRC (over len and bytes)
+//! u32 footer CRC (over the header and every section CRC)
+//! ```
+//!
+//! Each format decides what its sections hold and how much damage it
+//! tolerates: the first three refuse any, the sample store keeps every
+//! intact record. Fields inside a section are read with the bounds-checked
+//! [`Cursor`]. The mutation log (`AMWL`, [`crate::wal`]) is append-only and
+//! keeps its own record framing.
+//!
+//! Every file goes through [`write_atomic`], so a crash at any instant
+//! leaves either the previous complete file or the new complete file —
+//! never a half-written one — and the checksums let loaders detect the torn
+//! or bit-flipped files a broken disk can still produce.
 //!
 //! Fault injection: [`write_atomic`] accepts an optional [`DiskFault`] that
 //! deterministically simulates the three classic durability failures
 //! (torn write, bit flip, partial flush). Recovery paths are tested against
 //! these instead of real `kill -9`s, which keeps the tests deterministic.
 
+use crate::matrix::Matrix;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
+use std::ops::Range;
 use std::path::Path;
 
 /// CRC-32 (IEEE 802.3, polynomial `0xEDB88320`) slicing-by-16 lookup
@@ -96,115 +113,284 @@ pub fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
     crc
 }
 
-/// A writer adapter that maintains two running CRC-32 states over
-/// everything written: a whole-stream checksum and a resettable section
-/// checksum (for per-record integrity footers inside one file).
-pub struct CrcWriter<W> {
-    inner: W,
-    total: u32,
-    section: u32,
+/// Bytes before the first section: magic, version, section count, header
+/// CRC.
+const HEADER_LEN: usize = 16;
+
+/// Ceiling on a header-declared section count. A file we write ourselves
+/// stays far below it; anything above is corrupt or hostile and is refused
+/// before memory is committed to it.
+const MAX_SECTIONS: usize = 1 << 24;
+
+/// Ceiling on the element count of one encoded matrix (1 GiB of `f32`).
+const MAX_ELEMS: usize = 1 << 28;
+
+/// Serialize a container: `magic | u32 version | u32 section count |
+/// u32 header CRC`, then each section as `u32 len | bytes | u32 CRC` (the
+/// CRC covers the length and the bytes), then a footer CRC over the
+/// header and every section CRC. Every byte is checksummed exactly once.
+///
+/// # Panics
+/// When there are more than `u32::MAX` sections or a section exceeds
+/// `u32::MAX` bytes, which no format here can produce (the readers' caps
+/// are far lower).
+pub fn encode<S: AsRef<[u8]>>(magic: &[u8; 4], version: u32, sections: &[S]) -> Vec<u8> {
+    let body: usize = sections.iter().map(|s| s.as_ref().len() + 8).sum();
+    let count = u32::try_from(sections.len()).expect("container over u32::MAX sections");
+    let mut out = Vec::with_capacity(HEADER_LEN + body + 4);
+    out.extend_from_slice(magic);
+    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&count.to_le_bytes());
+    let header_crc = crc32(&out);
+    out.extend_from_slice(&header_crc.to_le_bytes());
+    let mut footer = crc32_update(0xFFFF_FFFF, &out);
+    for section in sections {
+        let section = section.as_ref();
+        let len = u32::try_from(section.len()).expect("container section over 4 GiB");
+        let start = out.len();
+        out.extend_from_slice(&len.to_le_bytes());
+        out.extend_from_slice(section);
+        let crc = crc32(&out[start..]).to_le_bytes();
+        out.extend_from_slice(&crc);
+        footer = crc32_update(footer, &crc);
+    }
+    out.extend_from_slice(&(footer ^ 0xFFFF_FFFF).to_le_bytes());
+    out
 }
 
-impl<W: Write> CrcWriter<W> {
-    /// Wrap `inner`, both checksums fresh.
-    pub fn new(inner: W) -> Self {
-        Self {
-            inner,
-            total: 0xFFFF_FFFF,
-            section: 0xFFFF_FFFF,
+/// A parsed container: where each section's bytes sit in the buffer that
+/// was parsed, and what damage the parse found.
+#[derive(Debug)]
+pub struct Container {
+    /// One entry per header-declared section, in order: the byte range of
+    /// the section's payload in the parsed buffer, or `None` when the
+    /// section failed its CRC or was lost to truncation.
+    pub sections: Vec<Option<Range<usize>>>,
+    /// One description per damaged or lost section, plus a missing or
+    /// mismatched footer and any bytes after it. Empty for an intact file.
+    pub damage: Vec<String>,
+}
+
+impl Container {
+    /// Every section, or `InvalidData` naming the first damage: the strict
+    /// read for formats that must load whole or not at all.
+    pub fn into_intact(self) -> io::Result<Vec<Range<usize>>> {
+        match self.damage.into_iter().next() {
+            Some(first) => Err(invalid(first)),
+            None => Ok(self.sections.into_iter().flatten().collect()),
         }
     }
-
-    /// Finalized CRC over every byte written so far.
-    pub fn total_crc(&self) -> u32 {
-        self.total ^ 0xFFFF_FFFF
-    }
-
-    /// Finalized CRC over bytes written since the last
-    /// [`reset_section`](Self::reset_section).
-    pub fn section_crc(&self) -> u32 {
-        self.section ^ 0xFFFF_FFFF
-    }
-
-    /// Start a fresh section checksum.
-    pub fn reset_section(&mut self) {
-        self.section = 0xFFFF_FFFF;
-    }
-
-    /// Write `bytes` to the inner writer *without* folding them into either
-    /// checksum — for writing the checksum values themselves.
-    pub fn write_unchecked(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.inner.write_all(bytes)
-    }
-
-    /// Unwrap the inner writer.
-    pub fn into_inner(self) -> W {
-        self.inner
-    }
 }
 
-impl<W: Write> Write for CrcWriter<W> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let n = self.inner.write(buf)?;
-        self.total = crc32_update(self.total, &buf[..n]);
-        self.section = crc32_update(self.section, &buf[..n]);
+/// Parse a container written by [`encode`] in one pass, verifying every
+/// section CRC once. Sections come back as ranges into `bytes`, so nothing
+/// is copied.
+///
+/// A bad header (length, magic, version, header CRC, a section count over
+/// the cap) is a hard [`io::ErrorKind::InvalidData`] error: nothing in the
+/// file can be trusted. Past the header, damage is collected rather than
+/// fatal: a section whose CRC fails is dropped and the walk resyncs on its
+/// length; a truncation loses every section from there on; a missing or
+/// mismatched footer and trailing bytes are reported too. Callers that
+/// accept no damage use [`Container::into_intact`].
+pub fn parse(bytes: &[u8], magic: &[u8; 4], version: u32) -> io::Result<Container> {
+    let name = String::from_utf8_lossy(magic);
+    if bytes.len() < HEADER_LEN {
+        return Err(invalid(format!(
+            "{name} file truncated in its header ({} bytes)",
+            bytes.len()
+        )));
+    }
+    if &bytes[..4] != magic {
+        return Err(invalid(format!(
+            "bad magic {:02x?}, expected {name}",
+            &bytes[..4]
+        )));
+    }
+    let found = le_u32(bytes, 4);
+    if found != version {
+        return Err(invalid(format!(
+            "unsupported {name} version {found} (this build reads {version})"
+        )));
+    }
+    let (stored, computed) = (le_u32(bytes, 12), crc32(&bytes[..12]));
+    if stored != computed {
+        return Err(invalid(format!(
+            "{name} header checksum mismatch: stored {stored:#010x}, computed {computed:#010x}"
+        )));
+    }
+    let count = le_u32(bytes, 8) as usize;
+    if count > MAX_SECTIONS {
+        return Err(invalid(format!("implausible {name} section count {count}")));
+    }
+
+    let mut sections = Vec::with_capacity(count.min(bytes.len() / 8));
+    let mut damage = Vec::new();
+    let mut footer = crc32_update(0xFFFF_FFFF, &bytes[..HEADER_LEN]);
+    let mut pos = HEADER_LEN;
+    for i in 0..count {
+        let rest = bytes.len() - pos;
+        let len = if rest >= 4 {
+            le_u32(bytes, pos) as usize
+        } else {
+            0
+        };
+        if rest < 8 || rest - 8 < len {
+            damage.push(format!(
+                "{name} truncated in section {i} of {count}: {} section(s) lost",
+                count - i
+            ));
+            sections.resize(count, None);
+            return Ok(Container { sections, damage });
+        }
+        let end = pos + 4 + len;
+        let (stored, computed) = (le_u32(bytes, end), crc32(&bytes[pos..end]));
+        footer = crc32_update(footer, &stored.to_le_bytes());
+        if stored == computed {
+            sections.push(Some(pos + 4..end));
+        } else {
+            damage.push(format!(
+                "{name} section {i} checksum mismatch: stored {stored:#010x}, \
+                 computed {computed:#010x}"
+            ));
+            sections.push(None);
+        }
+        pos = end + 4;
+    }
+    let footer = footer ^ 0xFFFF_FFFF;
+    match bytes.len() - pos {
+        0..=3 => damage.push(format!("{name} truncated in its footer")),
+        rest => {
+            let stored = le_u32(bytes, pos);
+            if stored != footer {
+                damage.push(format!(
+                    "{name} footer checksum mismatch: stored {stored:#010x}, \
+                     computed {footer:#010x}"
+                ));
+            }
+            if rest > 4 {
+                damage.push(format!("{} byte(s) after the {name} footer", rest - 4));
+            }
+        }
+    }
+    Ok(Container { sections, damage })
+}
+
+/// A bounds-checked little-endian reader over one section's payload. A
+/// read past the end fails with [`io::ErrorKind::InvalidData`] naming the
+/// field, so a section that is shorter than its fields claim is reported
+/// as corrupt, never as a panic or a bare `UnexpectedEof`.
+#[derive(Debug)]
+pub struct Cursor<'a> {
+    bytes: &'a [u8],
+}
+
+impl<'a> Cursor<'a> {
+    /// Read from the start of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Self { bytes }
+    }
+
+    /// The next `n` bytes, borrowed from the underlying buffer.
+    pub fn take(&mut self, n: usize, what: &str) -> io::Result<&'a [u8]> {
+        if self.bytes.len() < n {
+            return Err(invalid(format!("truncated while reading {what}")));
+        }
+        let (head, tail) = self.bytes.split_at(n);
+        self.bytes = tail;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self, what: &str) -> io::Result<[u8; N]> {
+        Ok(self
+            .take(N, what)?
+            .try_into()
+            .expect("take returned N bytes"))
+    }
+
+    /// One byte.
+    pub fn u8(&mut self, what: &str) -> io::Result<u8> {
+        Ok(self.array::<1>(what)?[0])
+    }
+
+    /// A little-endian `u32`.
+    pub fn u32(&mut self, what: &str) -> io::Result<u32> {
+        Ok(u32::from_le_bytes(self.array(what)?))
+    }
+
+    /// A little-endian `u64`.
+    pub fn u64(&mut self, what: &str) -> io::Result<u64> {
+        Ok(u64::from_le_bytes(self.array(what)?))
+    }
+
+    /// A little-endian `f32`.
+    pub fn f32(&mut self, what: &str) -> io::Result<f32> {
+        Ok(f32::from_le_bytes(self.array(what)?))
+    }
+
+    /// A `u32` length or count, refused above `max`: the ceiling that
+    /// keeps a corrupt count from sizing an allocation.
+    pub fn count(&mut self, max: usize, what: &str) -> io::Result<usize> {
+        let n = self.u32(what)? as usize;
+        if n > max {
+            return Err(invalid(format!("implausible {what} {n}")));
+        }
         Ok(n)
     }
 
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
+    /// A matrix written by [`put_matrix`]. The declared shape is untrusted:
+    /// it is capped, and its data must be present in full before anything
+    /// is allocated for it.
+    pub fn matrix(&mut self, what: &str) -> io::Result<Matrix> {
+        let rows = self.u32("rows")? as usize;
+        let cols = self.u32("cols")? as usize;
+        let total = rows.saturating_mul(cols);
+        if total > MAX_ELEMS {
+            return Err(invalid(format!(
+                "implausible tensor size {rows}x{cols} for {what}"
+            )));
+        }
+        let data = self.take(total * 4, what)?;
+        let data = data
+            .chunks_exact(4)
+            .map(|b| f32::from_le_bytes(b.try_into().expect("4-byte chunk")))
+            .collect();
+        Ok(Matrix::from_vec(rows, cols, data))
     }
-}
 
-/// A reader adapter mirroring [`CrcWriter`]: maintains whole-stream and
-/// per-section CRC-32 states over everything read, so loaders can verify
-/// the checksums the writer appended.
-pub struct CrcReader<R> {
-    inner: R,
-    total: u32,
-    section: u32,
-}
-
-impl<R: io::Read> CrcReader<R> {
-    /// Wrap `inner`, both checksums fresh.
-    pub fn new(inner: R) -> Self {
-        Self {
-            inner,
-            total: 0xFFFF_FFFF,
-            section: 0xFFFF_FFFF,
+    /// Succeed only when every byte was consumed: a section longer than
+    /// its fields is as corrupt as a shorter one.
+    pub fn finish(self, what: &str) -> io::Result<()> {
+        if self.bytes.is_empty() {
+            Ok(())
+        } else {
+            Err(invalid(format!(
+                "{} unread byte(s) at the end of {what}",
+                self.bytes.len()
+            )))
         }
     }
+}
 
-    /// Finalized CRC over every byte read so far.
-    pub fn total_crc(&self) -> u32 {
-        self.total ^ 0xFFFF_FFFF
-    }
-
-    /// Finalized CRC over bytes read since the last
-    /// [`reset_section`](Self::reset_section).
-    pub fn section_crc(&self) -> u32 {
-        self.section ^ 0xFFFF_FFFF
-    }
-
-    /// Start a fresh section checksum.
-    pub fn reset_section(&mut self) {
-        self.section = 0xFFFF_FFFF;
-    }
-
-    /// Read exactly `buf.len()` bytes *without* folding them into either
-    /// checksum — for reading stored checksum values.
-    pub fn read_exact_unchecked(&mut self, buf: &mut [u8]) -> io::Result<()> {
-        self.inner.read_exact(buf)
+/// Append `m` as `u32 rows | u32 cols | f32 LE data...`, the matrix layout
+/// every container format shares; [`Cursor::matrix`] reads it back.
+pub fn put_matrix(out: &mut Vec<u8>, m: &Matrix) {
+    out.reserve(8 + m.data().len() * 4);
+    out.extend_from_slice(&(m.rows() as u32).to_le_bytes());
+    out.extend_from_slice(&(m.cols() as u32).to_le_bytes());
+    for &v in m.data() {
+        out.extend_from_slice(&v.to_le_bytes());
     }
 }
 
-impl<R: io::Read> io::Read for CrcReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.total = crc32_update(self.total, &buf[..n]);
-        self.section = crc32_update(self.section, &buf[..n]);
-        Ok(n)
-    }
+fn le_u32(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"))
+}
+
+/// An [`io::ErrorKind::InvalidData`] error: the one kind every corrupt
+/// container read reports.
+pub fn invalid(msg: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
 /// A durability failure [`write_atomic`] can simulate, modelling what a
@@ -317,9 +503,9 @@ mod tests {
 
     #[test]
     fn sliced_crc_equals_bytewise_for_every_chunking() {
-        // The slicing-by-8 fast path must be bit-identical to the
+        // The slicing-by-16 fast path must be bit-identical to the
         // byte-at-a-time definition regardless of how the stream is cut
-        // (exercises every remainder length 0..8).
+        // (exercises every remainder length 0..16).
         let data: Vec<u8> = (0..97u32)
             .map(|i| (i.wrapping_mul(31) ^ 0xA5) as u8)
             .collect();
@@ -348,19 +534,6 @@ mod tests {
             state = crc32_update(state, chunk);
         }
         assert_eq!(state ^ 0xFFFF_FFFF, crc32(data));
-    }
-
-    #[test]
-    fn crc_writer_sections_and_total() {
-        let mut w = CrcWriter::new(Vec::new());
-        w.write_all(b"aaaa").expect("write");
-        let s1 = w.section_crc();
-        w.reset_section();
-        w.write_all(b"bbbb").expect("write");
-        assert_eq!(s1, crc32(b"aaaa"));
-        assert_eq!(w.section_crc(), crc32(b"bbbb"));
-        assert_eq!(w.total_crc(), crc32(b"aaaabbbb"));
-        assert_eq!(w.into_inner(), b"aaaabbbb".to_vec());
     }
 
     #[test]

@@ -1,142 +1,101 @@
-//! Parameter checkpointing: save/load a [`ParamStore`] to a compact
-//! self-describing binary format (no external serialization dependency —
-//! little-endian, versioned, name-checked on load).
+//! Parameter checkpointing: save/load a [`ParamStore`] as an `AMDG`
+//! [`durable`](crate::durable) container (no external serialization
+//! dependency — little-endian, versioned, name-checked on load).
 //!
-//! Format (version 2):
+//! Format (version 3): one container section per parameter, in
+//! registration order:
 //! ```text
-//! magic "AMDG" | u32 version | u32 param count |
-//!   per param: u32 name len | name bytes | u32 rows | u32 cols | f32 data...
-//!              | u32 section CRC-32
-//! | u32 footer CRC-32
+//! section: u32 name len | name bytes | u32 rows | u32 cols | f32 data...
 //! ```
 //!
-//! Each parameter record carries a CRC-32 over its own bytes, and the file
-//! ends with a CRC-32 over every header and record byte, so a torn write or
-//! a flipped bit anywhere in the file is detected at load time instead of
-//! silently corrupting a model. Version 1 files (no checksums) remain
-//! loadable.
+//! The container checksums every section, so a torn write or a flipped bit
+//! anywhere in the file is detected at load time instead of silently
+//! corrupting a model. The model artifact and the training-state snapshot
+//! embed parameters as the same sections, through [`param_sections`] and
+//! [`params_from_sections`].
 
-use crate::durable::{crc32, CrcReader, CrcWriter, DiskFault};
-use crate::matrix::Matrix;
+use crate::durable::{self, crc32, Cursor, DiskFault};
 use crate::param::ParamStore;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
+use std::ops::Range;
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"AMDG";
-/// Current write-side format version (checksummed records + footer).
-const VERSION: u32 = 2;
-/// Oldest version [`load_params`] still reads (pre-checksum format).
-const MIN_VERSION: u32 = 1;
+const VERSION: u32 = 3;
 
-/// Hard ceilings on header-declared sizes. A checkpoint we write ourselves
-/// stays far below all of them; anything above is a corrupt or hostile file
-/// and is rejected before memory is committed to it.
-const MAX_PARAMS: usize = 1 << 20;
+/// Ceiling on a declared parameter-name length; anything above is a
+/// corrupt or hostile file and is rejected before memory is committed.
 const MAX_NAME_LEN: usize = 1 << 16;
-const MAX_ELEMS: usize = 1 << 28;
 
-/// Elements per chunked read while streaming tensor data in. Allocation
-/// grows only as bytes actually arrive, so a header that lies about
-/// `rows * cols` hits end-of-stream long before exhausting memory.
-const READ_CHUNK_ELEMS: usize = 16 * 1024;
+/// One container section per parameter: `u32 name len | name | matrix`.
+pub fn param_sections(ps: &ParamStore) -> Vec<Vec<u8>> {
+    ps.iter()
+        .map(|(id, value)| {
+            let name = ps.name(id).as_bytes();
+            let mut section = Vec::with_capacity(16 + name.len() + value.data().len() * 4);
+            section.extend_from_slice(&(name.len() as u32).to_le_bytes());
+            section.extend_from_slice(name);
+            durable::put_matrix(&mut section, value);
+            section
+        })
+        .collect()
+}
+
+/// Rebuild a [`ParamStore`] from sections written by [`param_sections`]:
+/// `sections` are ranges into `bytes`, one parameter each. Ids are
+/// assigned in section order, which matches the registration order of an
+/// identically constructed model.
+///
+/// # Errors
+/// [`io::ErrorKind::InvalidData`] when a section does not hold exactly one
+/// well-formed parameter.
+pub fn params_from_sections(bytes: &[u8], sections: &[Range<usize>]) -> io::Result<ParamStore> {
+    let mut ps = ParamStore::new();
+    for range in sections {
+        let mut r = Cursor::new(&bytes[range.clone()]);
+        let name_len = r.count(MAX_NAME_LEN, "parameter name length")?;
+        let name = std::str::from_utf8(r.take(name_len, "parameter name")?)
+            .map_err(|_| durable::invalid("non-utf8 parameter name"))?
+            .to_string();
+        let value = r.matrix(&name)?;
+        r.finish(&name)?;
+        ps.register(name, value);
+    }
+    Ok(ps)
+}
+
+fn encode_params(ps: &ParamStore) -> Vec<u8> {
+    durable::encode(MAGIC, VERSION, &param_sections(ps))
+}
 
 /// Serialize every parameter (ids are positional, names included for
-/// verification), with per-record and whole-file CRC-32 checksums.
-pub fn save_params<W: Write>(ps: &ParamStore, w: W) -> io::Result<()> {
-    let mut w = CrcWriter::new(w);
-    w.write_all(MAGIC)?;
-    w.write_all(&VERSION.to_le_bytes())?;
-    w.write_all(&(ps.len() as u32).to_le_bytes())?;
-    for (id, value) in ps.iter() {
-        w.reset_section();
-        let name = ps.name(id).as_bytes();
-        w.write_all(&(name.len() as u32).to_le_bytes())?;
-        w.write_all(name)?;
-        write_matrix(&mut w, value)?;
-        let section = w.section_crc();
-        w.write_unchecked(&section.to_le_bytes())?;
-    }
-    let footer = w.total_crc();
-    w.write_unchecked(&footer.to_le_bytes())?;
-    Ok(())
+/// verification) as a checksummed `AMDG` container.
+pub fn save_params<W: Write>(ps: &ParamStore, mut w: W) -> io::Result<()> {
+    w.write_all(&encode_params(ps))
 }
 
 /// Serialize a [`ParamStore`] to `path` crash-safely (write-to-temp +
 /// fsync + atomic rename). `fault` is the deterministic durability fault
 /// to inject, for testing recovery paths; pass `None` in production.
 pub fn save_params_file(path: &Path, ps: &ParamStore, fault: Option<DiskFault>) -> io::Result<()> {
-    let mut buf = Vec::new();
-    save_params(ps, &mut buf)?;
-    crate::durable::write_atomic(path, &buf, fault)
+    durable::write_atomic(path, &encode_params(ps), fault)
 }
 
 /// Load a [`ParamStore`] from `path`, verifying checksums.
 pub fn load_params_file(path: &Path) -> io::Result<ParamStore> {
-    load_params(io::BufReader::new(std::fs::File::open(path)?))
+    load_params(&std::fs::read(path)?)
 }
 
-/// Deserialize into a fresh [`ParamStore`]. Ids are assigned in file order,
-/// which matches the registration order of an identically constructed
-/// model.
+/// Deserialize an `AMDG` container into a fresh [`ParamStore`].
 ///
-/// Every header field is treated as untrusted: counts and shapes are capped,
-/// data is read in bounded chunks, and a stream that ends before the header's
-/// promise is kept fails with [`io::ErrorKind::InvalidData`] — never a bare
-/// `UnexpectedEof` and never an allocation sized by the corrupt header. For
-/// version-2 files every record checksum and the footer checksum are
-/// verified, so any single corrupted byte in the payload is rejected;
-/// version-1 files load without checksum verification.
-pub fn load_params<R: Read>(r: R) -> io::Result<ParamStore> {
-    let mut r = CrcReader::new(r);
-    let mut magic = [0u8; 4];
-    read_exact_checked(&mut r, &mut magic, "magic")?;
-    if &magic != MAGIC {
-        return Err(invalid("bad magic"));
-    }
-    let version = read_u32(&mut r, "version")?;
-    if !(MIN_VERSION..=VERSION).contains(&version) {
-        return Err(invalid(format!("unsupported checkpoint version {version}")));
-    }
-    let checksummed = version >= 2;
-    let count = read_u32(&mut r, "parameter count")? as usize;
-    if count > MAX_PARAMS {
-        return Err(invalid(format!("implausible parameter count {count}")));
-    }
-    let mut ps = ParamStore::new();
-    for idx in 0..count {
-        r.reset_section();
-        let name_len = read_u32(&mut r, "name length")? as usize;
-        if name_len > MAX_NAME_LEN {
-            return Err(invalid(format!(
-                "implausible name length {name_len} for parameter {idx}"
-            )));
-        }
-        let mut name = vec![0u8; name_len];
-        read_exact_checked(&mut r, &mut name, "parameter name")?;
-        let name = String::from_utf8(name).map_err(|_| invalid("non-utf8 name"))?;
-        let value = read_matrix(&mut r, &name)?;
-        if checksummed {
-            let expect = r.section_crc();
-            let stored = read_crc(&mut r, "record checksum")?;
-            if stored != expect {
-                return Err(invalid(format!(
-                    "checksum mismatch in parameter {name}: stored {stored:#010x}, \
-                     computed {expect:#010x}"
-                )));
-            }
-        }
-        ps.register(name, value);
-    }
-    if checksummed {
-        let expect = r.total_crc();
-        let stored = read_crc(&mut r, "footer checksum")?;
-        if stored != expect {
-            return Err(invalid(format!(
-                "footer checksum mismatch: stored {stored:#010x}, computed {expect:#010x}"
-            )));
-        }
-    }
-    Ok(ps)
+/// Every header field is treated as untrusted: counts and shapes are
+/// capped and checked against the bytes actually present, and every
+/// section checksum and the footer are verified. Any damage — a flipped
+/// byte, a truncation, bytes appended after the footer, an older format
+/// version — fails with [`io::ErrorKind::InvalidData`].
+pub fn load_params(bytes: &[u8]) -> io::Result<ParamStore> {
+    let sections = durable::parse(bytes, MAGIC, VERSION)?.into_intact()?;
+    params_from_sections(bytes, &sections)
 }
 
 /// Copy parameter values from `loaded` into `target`, verifying that
@@ -176,117 +135,16 @@ pub fn restore_into(target: &mut ParamStore, loaded: &ParamStore) -> io::Result<
     Ok(())
 }
 
-/// Serialize one matrix as `u32 rows | u32 cols | f32 LE data...` — the
-/// element layout every AM* container format shares (parameter checkpoints,
-/// training-state snapshots, the sample store).
-pub fn write_matrix<W: Write>(w: &mut W, m: &Matrix) -> io::Result<()> {
-    w.write_all(&(m.rows() as u32).to_le_bytes())?;
-    w.write_all(&(m.cols() as u32).to_le_bytes())?;
-    for &v in m.data() {
-        w.write_all(&v.to_le_bytes())?;
-    }
-    Ok(())
-}
-
-/// Deserialize a matrix written by [`write_matrix`]. The declared shape is
-/// untrusted: sizes above an internal ceiling are rejected and data is read
-/// in bounded chunks, so a corrupt header can never drive a huge
-/// allocation. `what` names the tensor in error messages.
-pub fn read_matrix<R: Read>(r: &mut R, what: &str) -> io::Result<Matrix> {
-    let rows = read_u32(r, "rows")? as usize;
-    let cols = read_u32(r, "cols")? as usize;
-    let total = rows.saturating_mul(cols);
-    if total > MAX_ELEMS {
-        return Err(invalid(format!(
-            "implausible tensor size {rows}x{cols} for {what}"
-        )));
-    }
-    let mut data: Vec<f32> = Vec::with_capacity(total);
-    // Sized to the smaller of one chunk and the whole tensor: small
-    // matrices (one store record, one bias vector) shouldn't pay a 64 KiB
-    // zeroed allocation each.
-    let mut byte_buf = vec![0u8; total.min(READ_CHUNK_ELEMS) * 4];
-    let mut remaining = total;
-    while remaining > 0 {
-        let n = remaining.min(READ_CHUNK_ELEMS);
-        read_exact_checked(r, &mut byte_buf[..n * 4], "tensor data")?;
-        data.extend(
-            byte_buf[..n * 4]
-                .chunks_exact(4)
-                .map(|b| f32::from_le_bytes(b.try_into().expect("4-byte chunk"))),
-        );
-        remaining -= n;
-    }
-    Ok(Matrix::from_vec(rows, cols, data))
-}
-
-fn invalid(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
-/// `read_exact` that reports a short stream as corrupt data (the header
-/// promised more bytes than exist) instead of a bare `UnexpectedEof`.
-fn read_exact_checked<R: Read>(r: &mut R, buf: &mut [u8], what: &str) -> io::Result<()> {
-    r.read_exact(buf).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            invalid(format!("checkpoint truncated while reading {what}"))
-        } else {
-            e
-        }
-    })
-}
-
-fn read_u32<R: Read>(r: &mut R, what: &str) -> io::Result<u32> {
-    let mut buf = [0u8; 4];
-    read_exact_checked(r, &mut buf, what)?;
-    Ok(u32::from_le_bytes(buf))
-}
-
-/// Read a stored CRC value without folding it into the running checksums.
-fn read_crc<R: Read>(r: &mut CrcReader<R>, what: &str) -> io::Result<u32> {
-    let mut buf = [0u8; 4];
-    r.read_exact_unchecked(&mut buf).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            invalid(format!("checkpoint truncated while reading {what}"))
-        } else {
-            e
-        }
-    })?;
-    Ok(u32::from_le_bytes(buf))
-}
-
-/// Serialize a store exactly as format version 1 did (no checksums).
-/// Only used by tests to prove backward compatibility; real writes always
-/// use the current version.
-#[doc(hidden)]
-pub fn save_params_v1_for_tests<W: Write>(ps: &ParamStore, mut w: W) -> io::Result<()> {
-    w.write_all(MAGIC)?;
-    w.write_all(&1u32.to_le_bytes())?;
-    w.write_all(&(ps.len() as u32).to_le_bytes())?;
-    for (id, value) in ps.iter() {
-        let name = ps.name(id).as_bytes();
-        w.write_all(&(name.len() as u32).to_le_bytes())?;
-        w.write_all(name)?;
-        w.write_all(&(value.rows() as u32).to_le_bytes())?;
-        w.write_all(&(value.cols() as u32).to_le_bytes())?;
-        for &v in value.data() {
-            w.write_all(&v.to_le_bytes())?;
-        }
-    }
-    Ok(())
-}
-
 /// CRC-32 of a serialized store — the cheap way for callers to compare two
 /// checkpoints for bit-identity.
 pub fn params_digest(ps: &ParamStore) -> u32 {
-    let mut buf = Vec::new();
-    save_params(ps, &mut buf).expect("in-memory save cannot fail");
-    crc32(&buf)
+    crc32(&encode_params(ps))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::Matrix;
 
     fn sample_store() -> ParamStore {
         let mut ps = ParamStore::new();
@@ -336,6 +194,11 @@ mod tests {
     fn bad_magic_rejected() {
         let err = load_params(&b"NOPE"[..]).expect_err("must fail");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let mut buf = Vec::new();
+        save_params(&sample_store(), &mut buf).expect("save");
+        buf[0] = b'X';
+        let err = load_params(&buf).expect_err("must fail");
+        assert!(err.to_string().contains("magic"), "{err}");
     }
 
     #[test]
@@ -370,55 +233,38 @@ mod tests {
     }
 
     #[test]
-    fn v1_files_without_checksums_still_load() {
-        let ps = sample_store();
-        let mut v1 = Vec::new();
-        save_params_v1_for_tests(&ps, &mut v1).expect("save v1");
-        let loaded = load_params(v1.as_slice()).expect("v1 load");
-        assert_eq!(loaded.len(), ps.len());
-        for (id, value) in ps.iter() {
-            assert_eq!(**loaded.get(id), **value);
-        }
-    }
-
-    #[test]
     fn lying_count_header_rejected_without_huge_alloc() {
         let mut buf = Vec::new();
         buf.extend_from_slice(MAGIC);
         buf.extend_from_slice(&VERSION.to_le_bytes());
-        buf.extend_from_slice(&u32::MAX.to_le_bytes()); // absurd param count
+        buf.extend_from_slice(&u32::MAX.to_le_bytes()); // absurd section count
+        let crc = crc32(&buf);
+        buf.extend_from_slice(&crc.to_le_bytes());
         let err = load_params(buf.as_slice()).expect_err("must fail");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("parameter count"), "{err}");
+        assert!(err.to_string().contains("section count"), "{err}");
     }
 
     #[test]
     fn lying_shape_header_rejected() {
-        // One parameter whose header claims a 65536x65536 tensor but whose
-        // data section is empty: both the size cap and the chunked read
-        // must keep this from allocating gigabytes.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&VERSION.to_le_bytes());
-        buf.extend_from_slice(&1u32.to_le_bytes());
-        buf.extend_from_slice(&1u32.to_le_bytes());
-        buf.push(b'w');
-        buf.extend_from_slice(&65536u32.to_le_bytes());
-        buf.extend_from_slice(&65536u32.to_le_bytes());
+        // One intact section whose matrix claims a 65536x65536 tensor but
+        // holds no data: the size cap must refuse it before any allocation.
+        let section = |rows: u32, cols: u32| {
+            let mut b = Vec::new();
+            b.extend_from_slice(&1u32.to_le_bytes());
+            b.push(b'w');
+            b.extend_from_slice(&rows.to_le_bytes());
+            b.extend_from_slice(&cols.to_le_bytes());
+            b
+        };
+        let buf = durable::encode(MAGIC, VERSION, &[section(65536, 65536)]);
         let err = load_params(buf.as_slice()).expect_err("must fail");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
 
-        // A merely-large claim below the cap still fails fast on truncation
-        // instead of allocating the full claimed size up front.
-        let mut buf2 = Vec::new();
-        buf2.extend_from_slice(MAGIC);
-        buf2.extend_from_slice(&VERSION.to_le_bytes());
-        buf2.extend_from_slice(&1u32.to_le_bytes());
-        buf2.extend_from_slice(&1u32.to_le_bytes());
-        buf2.push(b'w');
-        buf2.extend_from_slice(&4096u32.to_le_bytes());
-        buf2.extend_from_slice(&4096u32.to_le_bytes());
-        let err = load_params(buf2.as_slice()).expect_err("must fail");
+        // A merely-large claim below the cap is checked against the bytes
+        // present instead of allocating the full claimed size up front.
+        let buf = durable::encode(MAGIC, VERSION, &[section(4096, 4096)]);
+        let err = load_params(buf.as_slice()).expect_err("must fail");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("truncated"), "{err}");
     }
