@@ -12,7 +12,7 @@
 //! (generation = epochs completed), written via
 //! [`amdgcnn_tensor::write_atomic`] (write-to-temp + fsync + atomic
 //! rename). The file is an `AMTS` version 2
-//! [`durable`](amdgcnn_tensor::durable) container:
+//! [`durable`] container:
 //!
 //! ```text
 //! section 0:        u64 epochs done | u64 seed | u64 Adam step count

@@ -243,12 +243,12 @@ impl ExperimentBuilder {
     }
 
     /// Persist tensorized samples to the `AMSS` file at `path` and reuse
-    /// them on later sessions (including [`resume_from`]
-    /// (ExperimentBuilder::resume_from) and tuning trials over the same
-    /// data): a warm store skips k-hop extraction, DRNL labeling, and
-    /// feature construction entirely, bit-identically. The store is keyed
-    /// by dataset digest + [`FeatureConfig`] fingerprint + graph
-    /// generation; a stale store fails the session with
+    /// them on later sessions (including
+    /// [`resume_from`](ExperimentBuilder::resume_from) and tuning trials
+    /// over the same data): a warm store skips k-hop extraction, DRNL
+    /// labeling, and feature construction entirely, bit-identically. The
+    /// store is keyed by dataset digest + [`FeatureConfig`] fingerprint +
+    /// graph generation; a stale store fails the session with
     /// [`Error::StoreMismatch`] instead of being silently reused.
     pub fn sample_store(mut self, path: impl Into<PathBuf>) -> Self {
         self.store = Some(path.into());

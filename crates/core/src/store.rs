@@ -9,7 +9,7 @@
 //! label), persisted in a single checksummed file, so warm runs skip the
 //! expensive phases entirely.
 //!
-//! Format (`AMSS` version 2): a [`durable`](amdgcnn_tensor::durable)
+//! Format (`AMSS` version 2): a [`durable`]
 //! container, little-endian:
 //! ```text
 //! section 0:    u64 dataset digest | u64 feature fingerprint | u64 graph generation

@@ -3,7 +3,9 @@
 //! Knowledge-graph substrate for the AM-DGCNN reproduction: typed CSR
 //! multigraphs, BFS traversals, SEAL enclosing-subgraph extraction with
 //! Double-Radius Node Labeling, classical link-prediction heuristics
-//! (common neighbors through SimRank), and node2vec embeddings.
+//! (common neighbors, Jaccard, Adamic-Adar, resource allocation,
+//! preferential attachment, Katz, personalized PageRank), and node2vec
+//! embeddings.
 //!
 //! # Example: extract and label an enclosing subgraph
 //!
@@ -37,7 +39,6 @@ pub mod khop;
 pub mod mutable;
 pub mod node2vec;
 pub mod pagerank;
-pub mod simrank;
 pub mod walks;
 pub mod wl;
 

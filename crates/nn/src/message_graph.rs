@@ -3,13 +3,9 @@
 //! shape, and one [`BlockDiagGraph`] packs many small subgraphs into a
 //! single sparse forward.
 //!
-//! Before this module the three conv layers each demanded their own
-//! operand — `GcnConv` a normalized `CsrMatrix`, `GatConv` an `EdgeIndex`
-//! with a separate edge-attribute `Var`, `RgcnConv` relation-grouped
-//! message lists — so `PreparedSample` carried three parallel encodings of
-//! the same subgraph and callers matched on the layer family. A
-//! `MessageGraph` is built once per subgraph and carries everything any
-//! layer needs:
+//! A `MessageGraph` is built once per subgraph, so `PreparedSample`
+//! carries one encoding of it whatever the layer family (GCN, GAT,
+//! R-GCN), and it holds everything any layer needs:
 //!
 //! * the message CSR ([`CsrGraph`]: undirected edges expanded to two
 //!   directed messages plus one self-loop per node, grouped by

@@ -3,7 +3,7 @@
 //! [`GnnKind`](am_dgcnn::GnnKind)), the feature-construction settings, the
 //! dataset identity, and the parameter checkpoint.
 //!
-//! Format (`AMDM` version 3): a [`durable`](amdgcnn_tensor::durable)
+//! Format (`AMDM` version 3): a [`durable`]
 //! container whose first section is the metadata JSON and whose remaining
 //! sections are the parameters, one each, in the `AMDG` section layout
 //! ([`param_sections`]):

@@ -5,7 +5,7 @@
 //! of the extractor.
 
 use crate::artifact::{instantiate, load_model, ArtifactMeta};
-use crate::stats::{ServerStats, StatsCollector};
+use crate::stats::ServeCounters;
 use am_dgcnn::fault::{EngineFault, FaultInjector, TransientFault};
 use am_dgcnn::{prepare_sample, DgcnnModel, FeatureConfig, LinkModel, PreparedSample};
 use amdgcnn_data::{Dataset, LabeledLink};
@@ -126,7 +126,7 @@ pub struct InferenceEngine {
     /// entries carry the generation they were extracted on; a hit from an
     /// older generation is stale and is recomputed, never served.
     generation: u64,
-    pub(crate) stats: StatsCollector,
+    pub(crate) counters: ServeCounters,
 }
 
 impl InferenceEngine {
@@ -171,7 +171,7 @@ impl InferenceEngine {
             cache: Mutex::new(LruCache::new(cache_capacity)),
             injector: None,
             generation: 0,
-            stats: StatsCollector::default(),
+            counters: ServeCounters::with_obs(amdgcnn_obs::Obs::enabled()),
         })
     }
 
@@ -214,8 +214,8 @@ impl InferenceEngine {
         }
         drop(cache);
         drop(old_cache);
-        self.stats.record_cache_invalidated(invalidated as u64);
-        self.stats.record_cache_migrated(migrated as u64);
+        self.counters.cache_invalidated.add(invalidated as u64);
+        self.counters.cache_migrated.add(migrated as u64);
         (invalidated, migrated)
     }
 
@@ -223,16 +223,17 @@ impl InferenceEngine {
     /// and span timers register there, so one report covers serving
     /// alongside any pipeline stages sharing the handle. Call right after
     /// construction, before any queries. A disabled handle is upgraded to
-    /// a private enabled registry — [`stats`](InferenceEngine::stats) must
-    /// always count.
+    /// a private enabled registry: the registry is the only store of the
+    /// serving counters, so they must always count.
     pub fn with_obs(mut self, obs: amdgcnn_obs::Obs) -> Self {
-        self.stats = StatsCollector::with_obs(obs);
+        self.counters = ServeCounters::with_obs(obs);
         self
     }
 
-    /// The observability registry behind this engine's counters.
+    /// The observability registry behind this engine's `serve/*` counters
+    /// (listed in the [crate docs](crate#serving-counters)).
     pub fn obs(&self) -> &amdgcnn_obs::Obs {
-        self.stats.obs()
+        &self.counters.obs
     }
 
     /// Attach a deterministic fault injector: [`try_predict`] calls will
@@ -265,11 +266,6 @@ impl InferenceEngine {
     /// Current number of cached prepared subgraphs.
     pub fn cache_len(&self) -> usize {
         lock_cache(&self.cache).len()
-    }
-
-    /// Snapshot of the engine's counters.
-    pub fn stats(&self) -> ServerStats {
-        self.stats.snapshot()
     }
 
     /// Forward pass for a chunk of prepared subgraphs, packed into one
@@ -352,7 +348,7 @@ impl InferenceEngine {
                 .map(|q| match cache.get(q) {
                     Some((entry, gen)) if gen == self.generation => Some(entry),
                     Some(_) => {
-                        self.stats.record_stale_serves(1);
+                        self.counters.stale_serves.inc();
                         None
                     }
                     None => None,
@@ -365,10 +361,11 @@ impl InferenceEngine {
         // dedup_hits credits duplicates that never probed the cache.
         let lru_hits = resolved.iter().filter(|r| r.is_some()).count() as u64;
         let fresh = unique.len() as u64 - lru_hits;
-        self.stats.record_cache_misses(fresh);
-        self.stats.record_cache_hits(lru_hits);
-        self.stats
-            .record_dedup_hits((queries.len() - unique.len()) as u64);
+        self.counters.cache_misses.add(fresh);
+        self.counters.cache_hits.add(lru_hits);
+        self.counters
+            .dedup_hits
+            .add((queries.len() - unique.len()) as u64);
 
         // Extract the missing subgraphs in parallel.
         let entries: Vec<Arc<CacheEntry>> = resolved
@@ -420,7 +417,7 @@ impl InferenceEngine {
             let _ = e.probs.set(probs);
         }
 
-        self.stats.record_queries(queries.len() as u64);
+        self.counters.queries.add(queries.len() as u64);
         queries
             .iter()
             .map(|q| {

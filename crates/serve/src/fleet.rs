@@ -44,7 +44,6 @@ use crate::error::Error;
 use crate::health::{FleetHealth, ReplicaHealth};
 use crate::ring::HashRing;
 use crate::server::{BatchConfig, BatchServer, PendingQuery, Request, RobustnessConfig};
-use crate::stats::ServerStats;
 use am_dgcnn::fault::{FaultInjector, FleetAction};
 use amdgcnn_data::Dataset;
 use amdgcnn_graph::AffectedRegion;
@@ -193,9 +192,9 @@ impl Fleet {
         assert!(cfg.replicas > 0, "a fleet needs at least one replica");
         let mut padded: Vec<Option<Arc<FaultInjector>>> = injectors.into_iter().map(Some).collect();
         padded.resize(cfg.replicas, None);
-        // FleetStats reads from these counters, so a disabled handle is
-        // upgraded to a private enabled registry — fleet accounting must
-        // always count, observability or not.
+        // The registry is the only store of the fleet's and its replicas'
+        // counters, so a disabled handle is upgraded to a private enabled
+        // registry: fleet accounting must always count.
         let obs = if obs.is_enabled() {
             obs
         } else {
@@ -246,7 +245,8 @@ impl Fleet {
             (*ds).clone(),
             self.cfg.cache_capacity,
         )?
-        .with_graph_generation(self.graph_generation.load(Ordering::SeqCst));
+        .with_graph_generation(self.graph_generation.load(Ordering::SeqCst))
+        .with_obs(self.obs.clone());
         if let Some(inj) = &self.injectors[r] {
             engine = engine.with_fault_injector(Arc::clone(inj));
         }
@@ -272,7 +272,9 @@ impl Fleet {
         &self.ring
     }
 
-    /// The shared observability registry (fleet/* counters and spans).
+    /// The shared observability registry: the router's `fleet/*` counters
+    /// and spans, and the `serve/*` counters of every replica incarnation,
+    /// crashed ones included, summed by name.
     pub fn obs(&self) -> &Obs {
         &self.obs
     }
@@ -354,10 +356,8 @@ impl Fleet {
             };
             if attempts > 0 {
                 // This query is landing somewhere other than where it
-                // would have under full health: a failover, recorded on
-                // the replica that absorbs it and at the fleet level.
+                // would have under full health: a failover.
                 self.counters.failovers.inc();
-                server.engine().stats.record_failover();
             }
             attempts += 1;
             let pending = match self.submit_to(&server, q, deadline) {
@@ -378,7 +378,7 @@ impl Fleet {
                     // the next routable replica and take the first answer;
                     // both compute identical probabilities, so the race
                     // can only improve latency, never change the result.
-                    let mut hedge: Option<(PendingQuery, Arc<BatchServer>)> = None;
+                    let mut hedge: Option<PendingQuery> = None;
                     while i < order.len() && hedge.is_none() {
                         let hr = order[i];
                         i += 1;
@@ -388,25 +388,21 @@ impl Fleet {
                         attempts += 1;
                         if let Ok(p) = self.submit_to(&backup, q, deadline) {
                             self.counters.hedges.inc();
-                            backup.engine().stats.record_hedge();
-                            hedge = Some((p, backup));
+                            hedge = Some(p);
                         }
                     }
                     match hedge {
-                        Some((backup_pending, backup)) => {
-                            match self.race(&pending, &backup_pending) {
-                                RaceOutcome::Primary(Ok(probs)) => return Ok(probs),
-                                RaceOutcome::Hedge(Ok(probs)) => {
-                                    self.counters.hedge_wins.inc();
-                                    backup.engine().stats.record_hedge_win();
-                                    return Ok(probs);
-                                }
-                                RaceOutcome::Primary(Err(e)) | RaceOutcome::Hedge(Err(e)) => {
-                                    last_err = e;
-                                    continue;
-                                }
+                        Some(backup_pending) => match self.race(&pending, &backup_pending) {
+                            RaceOutcome::Primary(Ok(probs)) => return Ok(probs),
+                            RaceOutcome::Hedge(Ok(probs)) => {
+                                self.counters.hedge_wins.inc();
+                                return Ok(probs);
                             }
-                        }
+                            RaceOutcome::Primary(Err(e)) | RaceOutcome::Hedge(Err(e)) => {
+                                last_err = e;
+                                continue;
+                            }
+                        },
                         None => match pending.wait() {
                             Ok(probs) => return Ok(probs),
                             Err(e) => {
@@ -705,38 +701,6 @@ impl Fleet {
         }
     }
 
-    /// Snapshot of fleet counters, per-replica stats, and the merged view.
-    pub fn stats(&self) -> FleetStats {
-        let replica_stats: Vec<Option<ServerStats>> = (0..self.cfg.replicas)
-            .map(|r| self.lock_slot(r).server.as_ref().map(|s| s.stats()))
-            .collect();
-        let merged = replica_stats
-            .iter()
-            .flatten()
-            .fold(ServerStats::default(), |acc, s| acc.merge(s));
-        let lat = self.counters.query_latency.snapshot();
-        FleetStats {
-            health: self.health(),
-            replica_health: self.replica_health(),
-            queries: self.counters.queries.get(),
-            answered: self.counters.answered.get(),
-            failed: self.counters.failed.get(),
-            failovers: self.counters.failovers.get(),
-            hedges: self.counters.hedges.get(),
-            hedge_wins: self.counters.hedge_wins.get(),
-            crashes: self.counters.crashes.get(),
-            respawns: self.counters.respawns.get(),
-            drains: self.counters.drains.get(),
-            redistributed: self.counters.redistributed.get(),
-            health_transitions: self.counters.health_transitions.get(),
-            graph_rolls: self.counters.graph_rolls.get(),
-            p50_query_latency: Duration::from_nanos(lat.quantile_ns(0.50)),
-            p99_query_latency: Duration::from_nanos(lat.quantile_ns(0.99)),
-            replicas: replica_stats,
-            merged,
-        }
-    }
-
     /// Shut down every live replica, draining their queues. Idempotent;
     /// takes `&self` so shared fleets (behind `Arc`) can be stopped too.
     pub fn shutdown(&self) {
@@ -753,74 +717,4 @@ impl Fleet {
 enum RaceOutcome {
     Primary(Result<ClassProbs, Error>),
     Hedge(Result<ClassProbs, Error>),
-}
-
-/// Point-in-time view of the fleet: router counters, health, end-to-end
-/// latency quantiles, and per-replica [`ServerStats`] with their merged
-/// fold.
-#[derive(Debug, Clone)]
-pub struct FleetStats {
-    /// Fleet-level health at snapshot time.
-    pub health: FleetHealth,
-    /// Per-slot replica health.
-    pub replica_health: Vec<ReplicaHealth>,
-    /// Queries submitted to the fleet.
-    pub queries: u64,
-    /// Queries answered with probabilities.
-    pub answered: u64,
-    /// Queries resolved with a typed error after exhausting live replicas.
-    pub failed: u64,
-    /// Attempts that landed on a non-primary replica after a failure.
-    pub failovers: u64,
-    /// Hedged (tail-latency backup) submissions.
-    pub hedges: u64,
-    /// Hedges that answered before their primary.
-    pub hedge_wins: u64,
-    /// Replicas hard-killed.
-    pub crashes: u64,
-    /// Replicas rebuilt and returned to the ring.
-    pub respawns: u64,
-    /// Replicas gracefully drained.
-    pub drains: u64,
-    /// Queued requests moved to a sibling replica during drains.
-    pub redistributed: u64,
-    /// Fleet health state changes observed.
-    pub health_transitions: u64,
-    /// Graph-generation rolls completed ([`Fleet::roll_graph`]).
-    pub graph_rolls: u64,
-    /// Median end-to-end fleet query latency (includes failover/hedging).
-    pub p50_query_latency: Duration,
-    /// 99th-percentile end-to-end fleet query latency.
-    pub p99_query_latency: Duration,
-    /// Per-replica snapshots (`None` for down slots).
-    pub replicas: Vec<Option<ServerStats>>,
-    /// All live replicas' stats merged ([`ServerStats::merge`]).
-    pub merged: ServerStats,
-}
-
-impl std::fmt::Display for FleetStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "fleet {}: {}/{} answered ({} failed), p50 {:?} p99 {:?}, \
-             {} failovers, {} hedges ({} won), {} crashes / {} respawns / \
-             {} drains ({} redistributed), {} graph rolls, \
-             {} health transitions",
-            self.health,
-            self.answered,
-            self.queries,
-            self.failed,
-            self.p50_query_latency,
-            self.p99_query_latency,
-            self.failovers,
-            self.hedges,
-            self.hedge_wins,
-            self.crashes,
-            self.respawns,
-            self.drains,
-            self.redistributed,
-            self.graph_rolls,
-            self.health_transitions
-        )
-    }
 }

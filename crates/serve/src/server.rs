@@ -32,7 +32,6 @@
 
 use crate::engine::{ClassProbs, InferenceEngine, LinkQuery};
 use crate::error::Error;
-use crate::stats::{record_drain, ServerStats};
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc;
@@ -248,14 +247,14 @@ impl BatchServer {
                         // Cooldown served: admit this query as the probe.
                         b.state = BreakerState::HalfOpen;
                     } else {
-                        self.shared.engine.stats.record_shed_degraded(1);
+                        self.shared.engine.counters.shed_degraded.inc();
                         return Err(Error::Degraded);
                     }
                 }
                 BreakerState::HalfOpen => {
                     // A probe is already in flight; keep shedding until it
                     // resolves the breaker one way or the other.
-                    self.shared.engine.stats.record_shed_degraded(1);
+                    self.shared.engine.counters.shed_degraded.inc();
                     return Err(Error::Degraded);
                 }
             }
@@ -267,7 +266,7 @@ impl BatchServer {
                 return Err(Error::ServerShutdown);
             }
             if q.requests.len() >= self.shared.robust.queue_capacity {
-                self.shared.engine.stats.record_shed_overload(1);
+                self.shared.engine.counters.shed_overload.inc();
                 return Err(Error::Overloaded {
                     capacity: self.shared.robust.queue_capacity,
                 });
@@ -302,11 +301,6 @@ impl BatchServer {
     /// the first failure still execute (their answers are discarded).
     pub fn submit_all_strict(&self, queries: &[LinkQuery]) -> Result<Vec<ClassProbs>, Error> {
         self.submit_all(queries).into_iter().collect()
-    }
-
-    /// Counter snapshot (shared with the underlying engine).
-    pub fn stats(&self) -> ServerStats {
-        self.shared.engine.stats()
     }
 
     /// The engine being served.
@@ -350,8 +344,9 @@ impl BatchServer {
         if !dropped.is_empty() {
             self.shared
                 .engine
-                .stats
-                .record_failed_queries(dropped.len() as u64);
+                .counters
+                .failed_queries
+                .add(dropped.len() as u64);
             for req in dropped {
                 let _ = req.reply.send(Err(Error::ServerShutdown));
             }
@@ -409,7 +404,6 @@ impl BatchServer {
             }
             q.requests.push_back(req);
         }
-        self.shared.engine.stats.record_failover();
         self.shared.wakeup.notify_one();
         Ok(())
     }
@@ -421,7 +415,7 @@ impl BatchServer {
     pub fn trip_breaker(&self) {
         let mut b = lock_breaker(&self.shared);
         if !matches!(b.state, BreakerState::Open { .. }) {
-            self.shared.engine.stats.record_breaker_trip();
+            self.shared.engine.counters.breaker_trip();
         }
         b.state = BreakerState::Open {
             since: Instant::now(),
@@ -467,8 +461,7 @@ enum WorkerExit {
 }
 
 /// Keep a worker alive: respawn it whenever it dies to a panic, stop only
-/// on clean shutdown. The respawn count is exported via
-/// [`ServerStats::worker_respawns`].
+/// on clean shutdown. Each respawn counts in `serve/worker_respawns`.
 fn supervisor_loop(shared: &Arc<Shared>) {
     loop {
         let worker_shared = Arc::clone(shared);
@@ -482,7 +475,7 @@ fn supervisor_loop(shared: &Arc<Shared>) {
             // engine panics), but treat a join error as a death anyway so
             // the queue is never left without a consumer.
             Ok(WorkerExit::Died) | Err(_) => {
-                shared.engine.stats.record_worker_respawn();
+                shared.engine.counters.worker_respawn();
             }
         }
     }
@@ -496,7 +489,10 @@ fn worker_loop(shared: &Shared) -> WorkerExit {
         }
         // Queue-wait per request and the batch-assembly window, measured
         // at drain time so time spent behind a busy worker is included.
-        record_drain(&shared.engine.stats, batch.iter().map(|r| r.enqueued));
+        shared
+            .engine
+            .counters
+            .record_drain(batch.iter().map(|r| r.enqueued));
         if !execute_batch(shared, batch) {
             return WorkerExit::Died;
         }
@@ -514,6 +510,7 @@ enum BatchOutcome {
 /// `false` if the engine panicked — the worker is considered dead and the
 /// supervisor replaces it.
 fn execute_batch(shared: &Shared, batch: Vec<Request>) -> bool {
+    let counters = &shared.engine.counters;
     let started = Instant::now();
     let queries: Vec<LinkQuery> = batch.iter().map(|r| r.query).collect();
     let mut retries = 0u32;
@@ -526,20 +523,21 @@ fn execute_batch(shared: &Shared, batch: Vec<Request>) -> bool {
                     break BatchOutcome::Failed(Error::EngineFault { retries });
                 }
                 retries += 1;
-                shared.engine.stats.record_engine_retries(1);
+                counters.engine_retries.inc();
                 // Exponential backoff, shift-capped so a huge retry budget
                 // cannot overflow the multiplier.
                 std::thread::sleep(shared.robust.retry_backoff * (1u32 << (retries - 1).min(16)));
             }
             Err(_panic_payload) => {
-                shared.engine.stats.record_worker_panic();
+                counters.worker_panic();
                 break BatchOutcome::Panicked;
             }
         }
     };
     match outcome {
         BatchOutcome::Answered(answers) => {
-            shared.engine.stats.record_batch(started.elapsed());
+            counters.batches.inc();
+            counters.engine_latency.record(started.elapsed());
             note_batch_success(shared);
             for (req, probs) in batch.into_iter().zip(answers) {
                 // A caller that dropped its PendingQuery just discards the
@@ -550,10 +548,7 @@ fn execute_batch(shared: &Shared, batch: Vec<Request>) -> bool {
         }
         BatchOutcome::Failed(err) => {
             note_batch_failure(shared);
-            shared
-                .engine
-                .stats
-                .record_failed_queries(batch.len() as u64);
+            counters.failed_queries.add(batch.len() as u64);
             for req in batch {
                 let _ = req.reply.send(Err(err.clone()));
             }
@@ -561,10 +556,7 @@ fn execute_batch(shared: &Shared, batch: Vec<Request>) -> bool {
         }
         BatchOutcome::Panicked => {
             note_batch_failure(shared);
-            shared
-                .engine
-                .stats
-                .record_failed_queries(batch.len() as u64);
+            counters.failed_queries.add(batch.len() as u64);
             for req in batch {
                 let _ = req.reply.send(Err(Error::WorkerPanicked));
             }
@@ -578,7 +570,7 @@ fn execute_batch(shared: &Shared, batch: Vec<Request>) -> bool {
 fn note_batch_success(shared: &Shared) {
     let mut b = lock_breaker(shared);
     if !matches!(b.state, BreakerState::Closed) {
-        shared.engine.stats.record_breaker_reset();
+        shared.engine.counters.breaker_reset();
     }
     b.state = BreakerState::Closed;
     b.consecutive_failures = 0;
@@ -597,7 +589,7 @@ fn note_batch_failure(shared: &Shared) {
         b.state = BreakerState::Open {
             since: Instant::now(),
         };
-        shared.engine.stats.record_breaker_trip();
+        shared.engine.counters.breaker_trip();
     } else if let BreakerState::Open { since } = &mut b.state {
         // Still failing while open (in-flight batches admitted before the
         // trip): restart the cooldown clock.
@@ -618,7 +610,7 @@ fn purge_expired(q: &mut Queue, shared: &Shared) {
         _ => true,
     });
     if expired > 0 {
-        shared.engine.stats.record_deadline_expired(expired);
+        shared.engine.counters.deadline_expired.add(expired);
     }
 }
 

@@ -57,6 +57,11 @@ fn faulty_engine(plan: FaultPlan) -> (InferenceEngine, &'static Dataset) {
 }
 
 /// One-query-per-batch policy so engine calls map 1:1 to queries.
+/// A `serve/*` counter from the registry behind `server`'s engine.
+fn count(server: &BatchServer, name: &str) -> u64 {
+    server.engine().obs().counter(name).get()
+}
+
 fn one_at_a_time() -> BatchConfig {
     BatchConfig {
         max_batch: 1,
@@ -67,7 +72,7 @@ fn one_at_a_time() -> BatchConfig {
 /// The acceptance run: 1000 queries against a worker that panics every
 /// 49th engine call. No caller panics, every query resolves, the worker is
 /// respawned after each death, and the breaker's trips and resets are all
-/// visible in the stats.
+/// visible in the engine's registry.
 #[test]
 fn injected_panics_never_reach_callers_and_worker_respawns() {
     let (engine, ds) = faulty_engine(FaultPlan::panic_every(49));
@@ -101,13 +106,12 @@ fn injected_panics_never_reach_callers_and_worker_respawns() {
     // 1000 queries, one engine call each: calls 49, 98, ..., 980 panic.
     assert_eq!(panicked, 20);
     assert_eq!(answered, 980);
-    let stats = server.stats();
-    assert_eq!(stats.worker_panics, 20);
-    assert_eq!(stats.worker_respawns, 20);
-    assert_eq!(stats.breaker_trips, 20);
-    assert_eq!(stats.breaker_resets, 20);
-    assert_eq!(stats.failed_queries, 20);
-    assert_eq!(stats.shed_degraded, 0);
+    assert_eq!(count(&server, "serve/worker_panics"), 20);
+    assert_eq!(count(&server, "serve/worker_respawns"), 20);
+    assert_eq!(count(&server, "serve/breaker_trips"), 20);
+    assert_eq!(count(&server, "serve/breaker_resets"), 20);
+    assert_eq!(count(&server, "serve/failed_queries"), 20);
+    assert_eq!(count(&server, "serve/shed_degraded"), 0);
     server.shutdown();
 }
 
@@ -146,7 +150,7 @@ fn full_queue_sheds_with_overloaded() {
     for p in pending {
         p.wait().expect("admitted queries still answer");
     }
-    assert_eq!(server.stats().shed_overload, shed);
+    assert_eq!(count(&server, "serve/shed_overload"), shed);
     server.shutdown();
 }
 
@@ -174,7 +178,7 @@ fn deadline_expires_while_queued() {
     assert!(busy.wait().is_ok());
     assert_eq!(expired.wait(), Err(Error::DeadlineExceeded));
     assert!(relaxed.wait().is_ok());
-    assert_eq!(server.stats().deadline_expired, 1);
+    assert_eq!(count(&server, "serve/deadline_expired"), 1);
     server.shutdown();
 }
 
@@ -197,9 +201,8 @@ fn transient_fault_is_retried_to_success() {
         .wait()
         .expect("first call faults, first retry answers");
     assert_eq!(probs.len(), ds.num_classes);
-    let stats = server.stats();
-    assert_eq!(stats.engine_retries, 1);
-    assert_eq!(stats.failed_queries, 0);
+    assert_eq!(count(&server, "serve/engine_retries"), 1);
+    assert_eq!(count(&server, "serve/failed_queries"), 0);
     server.shutdown();
 }
 
@@ -222,9 +225,8 @@ fn exhausted_retry_budget_fails_the_batch_with_engine_fault() {
     let q = (ds.test[0].u, ds.test[0].v);
     let outcome = server.submit(q).expect("admitted").wait();
     assert_eq!(outcome, Err(Error::EngineFault { retries: 2 }));
-    let stats = server.stats();
-    assert_eq!(stats.engine_retries, 2);
-    assert_eq!(stats.failed_queries, 1);
+    assert_eq!(count(&server, "serve/engine_retries"), 2);
+    assert_eq!(count(&server, "serve/failed_queries"), 1);
     server.shutdown();
 }
 

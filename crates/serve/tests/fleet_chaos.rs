@@ -80,6 +80,12 @@ fn reference_answers(queries: &[LinkQuery]) -> HashMap<LinkQuery, ClassProbs> {
     expected
 }
 
+/// A counter from the fleet's registry: its own `fleet/*` counters and the
+/// `serve/*` counters of every replica it has run.
+fn count(fleet: &Fleet, name: &str) -> u64 {
+    fleet.obs().counter(name).get()
+}
+
 fn chaos_fleet(plan: &FleetPlan, cfg: FleetConfig) -> Fleet {
     let (artifact, ds) = artifact_and_ds();
     let injectors = plan
@@ -153,35 +159,36 @@ fn chaos_schedules_never_hang_and_never_corrupt_answers() {
             "seed {seed}: protected replica is always routable, so every \
              query must be answered"
         );
-        let stats = fleet.stats();
-        assert_eq!(stats.queries, 1000, "seed {seed}");
-        assert_eq!(stats.answered, 1000, "seed {seed}");
+        assert_eq!(count(&fleet, "fleet/queries"), 1000, "seed {seed}");
+        assert_eq!(count(&fleet, "fleet/answered"), 1000, "seed {seed}");
         let planned = |f: fn(&FleetAction) -> bool| {
             plan.events.iter().filter(|e| f(&e.action)).count() as u64
         };
+        let crashes = count(&fleet, "fleet/replica_crashes");
+        let drains = count(&fleet, "fleet/replica_drains");
         assert_eq!(
-            stats.crashes,
+            crashes,
             planned(|a| matches!(a, FleetAction::Crash { .. })),
             "seed {seed}: every planned crash must land (plan only crashes live replicas)"
         );
         assert_eq!(
-            stats.respawns,
+            count(&fleet, "fleet/replica_respawns"),
             planned(|a| matches!(a, FleetAction::Respawn { .. })),
             "seed {seed}"
         );
         assert_eq!(
-            stats.drains,
+            drains,
             planned(|a| matches!(a, FleetAction::Drain { .. })),
             "seed {seed}"
         );
         // The chaos run must actually exercise the router's fault paths.
-        if stats.crashes + stats.drains > 0 {
+        if crashes + drains > 0 {
             assert!(
-                stats.failovers > 0,
+                count(&fleet, "fleet/failovers") > 0,
                 "seed {seed}: replicas went down but no query ever failed over"
             );
             assert!(
-                stats.health_transitions > 0,
+                count(&fleet, "fleet/health_transitions") > 0,
                 "seed {seed}: replicas went down but health never moved"
             );
         }
@@ -228,10 +235,58 @@ fn kill_and_respawn_cycle_degrades_and_recovers_health() {
     for &q in &queries {
         assert_eq!(fleet.query(q).expect("healthy fleet answers"), expected[&q]);
     }
-    let stats = fleet.stats();
-    assert_eq!(stats.crashes, 2);
-    assert_eq!(stats.respawns, 2);
-    assert!(stats.health_transitions >= 2, "healthy->degraded->healthy");
+    assert_eq!(count(&fleet, "fleet/replica_crashes"), 2);
+    assert_eq!(count(&fleet, "fleet/replica_respawns"), 2);
+    assert!(
+        count(&fleet, "fleet/health_transitions") >= 2,
+        "healthy->degraded->healthy"
+    );
+    fleet.shutdown();
+}
+
+/// One registry counts every replica: the fleet hands its `Obs` to each
+/// replica incarnation, so `serve/*` in `fleet.obs()` sums all of them and
+/// keeps a crashed replica's counts. With one client thread and hedging
+/// pushed out of the way, each answered query runs through exactly one
+/// engine once, so `serve/queries` equals `fleet/answered`.
+#[test]
+fn one_fleet_registry_counts_every_replica() {
+    let (artifact, ds) = artifact_and_ds();
+    let queries: Vec<LinkQuery> = ds.test.iter().map(|l| (l.u, l.v)).collect();
+    let fleet = Fleet::start_with(
+        artifact.clone(),
+        ds.clone(),
+        FleetConfig {
+            replicas: 3,
+            hedge_after: Duration::from_secs(30),
+            ..FleetConfig::default()
+        },
+        Obs::enabled(),
+        Vec::new(),
+    )
+    .expect("fleet starts");
+    for &q in &queries {
+        fleet.query(q).expect("healthy fleet answers");
+    }
+    let before_kill = count(&fleet, "serve/queries");
+    assert_eq!(before_kill, count(&fleet, "fleet/answered"));
+    fleet.kill_replica(1);
+    assert_eq!(
+        count(&fleet, "serve/queries"),
+        before_kill,
+        "a crashed replica's counts stay in the registry"
+    );
+    for &q in &queries {
+        fleet.query(q).expect("two live replicas answer");
+    }
+    assert_eq!(
+        count(&fleet, "serve/queries"),
+        count(&fleet, "fleet/answered")
+    );
+    assert_eq!(count(&fleet, "fleet/answered"), 2 * queries.len() as u64);
+    let report = fleet.obs().report();
+    let engine = report.span("serve/engine").expect("replica batches timed");
+    assert!(engine.count > 0);
     fleet.shutdown();
 }
 
@@ -337,9 +392,8 @@ fn drain_redistributes_queued_requests_instead_of_erroring_them() {
             "adopted query answered bit-identically"
         );
     }
-    let stats = fleet.stats();
-    assert_eq!(stats.drains, 1);
-    assert!(stats.redistributed >= moved as u64);
+    assert_eq!(count(&fleet, "fleet/replica_drains"), 1);
+    assert!(count(&fleet, "fleet/redistributed") >= moved as u64);
     fleet.shutdown();
 }
 
@@ -379,9 +433,8 @@ fn drain_respawn_under_live_traffic_loses_no_request() {
     for c in clients {
         c.join().expect("client saw no failed request");
     }
-    let stats = fleet.stats();
-    assert_eq!(stats.failed, 0, "{stats}");
-    assert_eq!(stats.queries, 4 * 120);
+    assert_eq!(count(&fleet, "fleet/failed"), 0);
+    assert_eq!(count(&fleet, "fleet/queries"), 4 * 120);
     fleet.shutdown();
 }
 
@@ -441,7 +494,7 @@ fn single_replica_drain_fails_typed_not_hanging() {
     // The empty ring refuses new queries immediately with the same type.
     let err = fleet.query(queries[0]).expect_err("no replica is routable");
     assert!(matches!(err, Error::FleetUnavailable { .. }), "{err}");
-    assert_eq!(fleet.stats().drains, 1);
+    assert_eq!(count(&fleet, "fleet/replica_drains"), 1);
     fleet.shutdown();
 }
 
@@ -478,9 +531,8 @@ fn respawn_after_last_crash_restores_routing() {
             "post-respawn answers are bit-identical"
         );
     }
-    let stats = fleet.stats();
-    assert_eq!(stats.crashes, 1, "{stats}");
-    assert_eq!(stats.respawns, 1, "{stats}");
+    assert_eq!(count(&fleet, "fleet/replica_crashes"), 1);
+    assert_eq!(count(&fleet, "fleet/replica_respawns"), 1);
     fleet.shutdown();
 }
 
@@ -520,29 +572,26 @@ fn sharded_caches_absorb_a_working_set_one_server_thrashes() {
     for &q in &queries {
         assert_eq!(fleet.query(q).expect("warm pass"), expected[&q]);
     }
-    let warm = fleet.stats();
+    let warm_misses = count(&fleet, "serve/cache_misses");
     for &q in &queries {
         assert_eq!(fleet.query(q).expect("second pass"), expected[&q]);
     }
-    let second = fleet.stats();
-    assert_eq!(
-        second.merged.cache_misses, warm.merged.cache_misses,
-        "{second}"
-    );
-    assert_eq!(second.hedges, 0, "{second}");
-    assert_eq!(second.failovers, 0, "{second}");
+    assert_eq!(count(&fleet, "serve/cache_misses"), warm_misses);
+    assert_eq!(count(&fleet, "fleet/hedges"), 0);
+    assert_eq!(count(&fleet, "fleet/failovers"), 0);
     fleet.shutdown();
 
     let lone = InferenceEngine::load(artifact.as_slice(), ds.clone(), capacity).expect("engine");
     for &q in &queries {
         lone.predict_one(q);
     }
-    let misses = lone.stats().cache_misses;
+    let lone_misses = lone.obs().counter("serve/cache_misses");
+    let misses = lone_misses.get();
     for &q in &queries {
         assert_eq!(lone.predict_one(q), expected[&q]);
     }
     assert_eq!(
-        lone.stats().cache_misses - misses,
+        lone_misses.get() - misses,
         queries.len() as u64,
         "a lone engine must miss on every second-pass query"
     );

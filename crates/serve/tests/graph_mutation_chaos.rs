@@ -299,16 +299,17 @@ fn mutating_graph_under_chaos_serves_fresh_answers_and_replays_exactly() {
         assert_eq!(store.rejected_commits(), expected_rejects, "seed {seed}");
         assert!(faulted_some, "seed {seed}: plan scheduled no WAL faults");
         assert_eq!(store.generation(), commits, "seed {seed}");
-        let stats = fleet.stats();
-        assert_eq!(stats.graph_rolls, commits, "seed {seed}");
-        assert_eq!(stats.queries, N as u64, "seed {seed}");
-        assert_eq!(stats.answered, N as u64, "seed {seed}");
+        let count = |name: &str| fleet.obs().counter(name).get();
+        assert_eq!(count("fleet/graph_rolls"), commits, "seed {seed}");
+        assert_eq!(count("fleet/queries"), N as u64, "seed {seed}");
+        assert_eq!(count("fleet/answered"), N as u64, "seed {seed}");
 
         // The invalidation rule did real work and never let a stale
         // entry through: the engines' generation-tag backstop stayed
-        // silent on every live replica.
+        // silent on every replica incarnation, crashed ones included.
         assert_eq!(
-            stats.merged.stale_serves, 0,
+            count("serve/stale_serves"),
+            0,
             "seed {seed}: a stale cache entry survived invalidation"
         );
         assert!(
@@ -405,11 +406,10 @@ fn graph_roll_migrates_survivors_and_drops_affected_entries() {
         .expect("roll");
     assert_eq!(fleet.graph_generation(), 1);
 
-    let stats = fleet.stats();
+    let count = |name: &str| fleet.obs().counter(name).get();
     assert!(
-        stats.merged.cache_invalidated > 0,
-        "the affected entry must be dropped: {}",
-        stats.merged
+        count("serve/cache_invalidated") > 0,
+        "the affected entry must be dropped"
     );
     // The region is local, so at least one of the 8 cached test links
     // should have survived the roll on some replica.
@@ -419,9 +419,8 @@ fn graph_roll_migrates_survivors_and_drops_affected_entries() {
         .collect();
     if !survivors.is_empty() {
         assert!(
-            stats.merged.cache_migrated > 0,
-            "unaffected entries must carry across: {}",
-            stats.merged
+            count("serve/cache_migrated") > 0,
+            "unaffected entries must carry across"
         );
     }
 
@@ -432,7 +431,7 @@ fn graph_roll_migrates_survivors_and_drops_affected_entries() {
     for &q in &queries {
         assert_eq!(fleet.query(q).expect("answers"), fresh.predict_one(q));
     }
-    assert_eq!(fleet.stats().merged.stale_serves, 0);
+    assert_eq!(count("serve/stale_serves"), 0);
 
     fleet.shutdown();
     let _ = std::fs::remove_file(&wal_path);
@@ -496,7 +495,7 @@ fn each_roll_recomputes_only_the_invalidated_entries() {
         assert!(migrated > 0, "roll {roll}: no entry survived");
         let answers: Vec<_> = queries.iter().map(|&q| next.predict_one(q)).collect();
         assert_eq!(
-            next.stats().cache_misses,
+            next.obs().counter("serve/cache_misses").get(),
             invalidated as u64,
             "roll {roll}: only invalidated entries may be recomputed"
         );

@@ -39,10 +39,6 @@ impl Tape {
                     acc(&mut grads, a.index(), g.clone());
                     acc(&mut grads, b.index(), g);
                 }
-                Op::Sub(a, b) => {
-                    acc(&mut grads, a.index(), g.clone());
-                    acc(&mut grads, b.index(), g.scale(-1.0));
-                }
                 Op::Mul(a, b) => {
                     let da = g.hadamard(self.value(*b));
                     let db = g.hadamard(self.value(*a));
@@ -60,7 +56,6 @@ impl Tape {
                     acc(&mut grads, col.index(), dcol);
                 }
                 Op::Scale(x, alpha) => acc(&mut grads, x.index(), g.scale(*alpha)),
-                Op::AddScalar(x, _) => acc(&mut grads, x.index(), g),
                 Op::Tanh(x) => {
                     let y = self.nodes[i].value.as_matrix();
                     let dx = g.zip_map(y, |gi, yi| gi * (1.0 - yi * yi));
@@ -127,9 +122,6 @@ impl Tape {
                     }
                     acc(&mut grads, src.index(), dx);
                 }
-                Op::SpMM { adj_t, h, .. } => {
-                    acc(&mut grads, h.index(), adj_t.spmm(&g));
-                }
                 Op::GSpmm { graph, w, h } => {
                     // dW is the g-SDDMM dot of the output gradient against
                     // the source features; dH is the transposed g-SpMM.
@@ -157,14 +149,6 @@ impl Tape {
                     let dw = graph.sddmm_dot_edge(&g, self.value(*x));
                     let dx = graph.expand_dst(self.value(*w).data(), &g);
                     acc(&mut grads, w.index(), dw);
-                    acc(&mut grads, x.index(), dx);
-                }
-                Op::SumRows(x) => {
-                    let rows = self.shape(*x).0;
-                    let mut dx = Matrix::zeros(rows, g.cols());
-                    for r in 0..rows {
-                        dx.row_mut(r).copy_from_slice(g.row(0));
-                    }
                     acc(&mut grads, x.index(), dx);
                 }
                 Op::MeanAll(x) => {

@@ -4,7 +4,7 @@
 
 use crate::matrix::Matrix;
 use crate::param::ParamId;
-use crate::sparse::{CsrGraph, CsrMatrix};
+use crate::sparse::CsrGraph;
 use std::sync::Arc;
 
 /// Index of a node on a [`super::tape::Tape`].
@@ -55,8 +55,6 @@ pub enum Op {
     MatMul(Var, Var),
     /// Elementwise `A + B` (same shapes).
     Add(Var, Var),
-    /// Elementwise `A - B`.
-    Sub(Var, Var),
     /// Hadamard product.
     Mul(Var, Var),
     /// `X + bias` where bias is `[1, C]`, broadcast over rows.
@@ -65,8 +63,6 @@ pub enum Op {
     MulColBroadcast(Var, Var),
     /// `alpha * X`.
     Scale(Var, f32),
-    /// `X + alpha` elementwise.
-    AddScalar(Var, f32),
     /// Hyperbolic tangent.
     Tanh(Var),
     /// Rectified linear unit.
@@ -92,13 +88,6 @@ pub enum Op {
     SegmentSoftmax {
         src: Var,
         segments: Arc<Vec<(usize, usize)>>,
-    },
-    /// Sparse-dense product `adj · H`. `adj_t` is the precomputed transpose
-    /// used by the backward rule.
-    SpMM {
-        adj: Arc<CsrMatrix>,
-        adj_t: Arc<CsrMatrix>,
-        h: Var,
     },
     /// Edge-weighted g-SpMM `out[d] = Σ w[m]·h[src[m]]` with a *learnable*
     /// `[M, 1]` weight column (attention coefficients). Backward: the
@@ -134,8 +123,6 @@ pub enum Op {
         w: Var,
         x: Var,
     },
-    /// Sum over rows → `[1, C]`.
-    SumRows(Var),
     /// Mean of all elements → `[1, 1]`.
     MeanAll(Var),
     /// SortPooling (Zhang et al. 2018): rows sorted by the last channel,
@@ -185,18 +172,15 @@ impl Op {
             Op::Leaf | Op::Param(_) => vec![],
             Op::MatMul(a, b)
             | Op::Add(a, b)
-            | Op::Sub(a, b)
             | Op::Mul(a, b)
             | Op::AddRowBroadcast(a, b)
             | Op::MulColBroadcast(a, b) => vec![*a, *b],
             Op::Scale(a, _)
-            | Op::AddScalar(a, _)
             | Op::Tanh(a)
             | Op::Relu(a)
             | Op::LeakyRelu(a, _)
             | Op::Sigmoid(a)
             | Op::SoftmaxRows(a)
-            | Op::SumRows(a)
             | Op::MeanAll(a) => vec![*a],
             Op::ConcatCols(parts) => parts.clone(),
             Op::GatherRows { src, .. }
@@ -206,7 +190,6 @@ impl Op {
             | Op::MaxPool1d { src, .. }
             | Op::Reshape { src, .. }
             | Op::Dropout { src, .. } => vec![*src],
-            Op::SpMM { h, .. } => vec![*h],
             Op::GSpmm { w, h, .. } => vec![*w, *h],
             Op::GSpmmStatic { h, .. } => vec![*h],
             Op::GSddmmAdd { src, dst, edge, .. } => {

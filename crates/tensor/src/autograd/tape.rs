@@ -10,7 +10,7 @@ use super::op::{Conv1dSpec, Op, Var};
 use crate::matmul::matmul;
 use crate::matrix::Matrix;
 use crate::param::ParamId;
-use crate::sparse::{CsrGraph, CsrMatrix, Reduce};
+use crate::sparse::{CsrGraph, Reduce};
 use std::sync::Arc;
 
 /// A node's stored value: computed matrices are owned; parameter leaves
@@ -116,12 +116,6 @@ impl Tape {
         self.push(v, Op::Add(a, b))
     }
 
-    /// Elementwise difference.
-    pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        let v = self.value(a).sub(self.value(b));
-        self.push(v, Op::Sub(a, b))
-    }
-
     /// Hadamard product.
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
         let v = self.value(a).hadamard(self.value(b));
@@ -144,12 +138,6 @@ impl Tape {
     pub fn scale(&mut self, x: Var, alpha: f32) -> Var {
         let v = self.value(x).scale(alpha);
         self.push(v, Op::Scale(x, alpha))
-    }
-
-    /// `x + alpha` elementwise.
-    pub fn add_scalar(&mut self, x: Var, alpha: f32) -> Var {
-        let v = self.value(x).map(|e| e + alpha);
-        self.push(v, Op::AddScalar(x, alpha))
     }
 
     /// Hyperbolic tangent.
@@ -226,15 +214,6 @@ impl Tape {
             Matrix::softmax_slice(&mut v.data_mut()[start..end]);
         }
         self.push(v, Op::SegmentSoftmax { src: x, segments })
-    }
-
-    /// Sparse-dense product `adj · h` (GCN propagation). `adj_t` must be the
-    /// transpose of `adj`; it drives the backward rule.
-    pub fn spmm(&mut self, adj: Arc<CsrMatrix>, adj_t: Arc<CsrMatrix>, h: Var) -> Var {
-        debug_assert_eq!(adj.rows(), adj_t.cols());
-        debug_assert_eq!(adj.cols(), adj_t.rows());
-        let v = adj.spmm(self.value(h));
-        self.push(v, Op::SpMM { adj, adj_t, h })
     }
 
     /// Edge-weighted g-SpMM with a learnable `[M, 1]` weight column:
@@ -325,12 +304,6 @@ impl Tape {
         );
         let v = graph.edge_aggregate(self.value(w).data(), self.value(x));
         self.push(v, Op::EdgeAggregate { graph, w, x })
-    }
-
-    /// Sum over rows → `[1, C]`.
-    pub fn sum_rows(&mut self, x: Var) -> Var {
-        let v = self.value(x).sum_rows();
-        self.push(v, Op::SumRows(x))
     }
 
     /// Mean of all elements → `[1, 1]`.

@@ -1,5 +1,5 @@
 //! Parameter checkpointing: save/load a [`ParamStore`] as an `AMDG`
-//! [`durable`](crate::durable) container (no external serialization
+//! [`durable`] container (no external serialization
 //! dependency — little-endian, versioned, name-checked on load).
 //!
 //! Format (version 3): one container section per parameter, in

@@ -3,9 +3,9 @@
 //! Two structures live here:
 //!
 //! * [`CsrMatrix`] — a general sparse `f32` matrix (row pointers + column
-//!   indices + values) with `spmm`/`spmv_f64`. Used for graph-algorithm
-//!   linear algebra (Katz, PageRank) and anywhere a weighted operator is
-//!   the natural object.
+//!   indices + values) with an `f64`-accumulating `spmv_f64`. The
+//!   heuristic baselines' graph algorithms (Katz, PageRank) run on it; no
+//!   model layer does.
 //! * [`CsrGraph`] — a *topology-only* CSR over messages `(src → dst)`,
 //!   grouped by destination, carrying both the forward layout and its
 //!   transpose. This is the substrate for the generalized g-SpMM /
@@ -38,8 +38,8 @@ impl CsrMatrix {
     /// dedup pass after sorting; the result holds one entry per distinct
     /// coordinate whose value is the sum of every occurrence, and input
     /// order never matters. This is *not* last-wins. Adjacency matrices
-    /// built from multigraph edge lists (katz/pagerank weighting, GCN
-    /// normalization) rely on parallel edges accumulating multiplicity,
+    /// built from multigraph edge lists (Katz and PageRank weighting) rely
+    /// on parallel edges accumulating multiplicity,
     /// and graph-mutation replay relies on a replayed edge list producing
     /// the same matrix as the live one regardless of the order mutations
     /// interleaved — both hold only under summation, which is
@@ -127,67 +127,12 @@ impl CsrMatrix {
             .map(|(&c, &v)| (c as usize, v))
     }
 
-    /// Transposed copy.
-    pub fn transpose(&self) -> CsrMatrix {
-        let mut triplets = Vec::with_capacity(self.nnz());
-        for r in 0..self.rows {
-            for (c, v) in self.row_entries(r) {
-                triplets.push((c, r, v));
-            }
-        }
-        CsrMatrix::from_triplets(self.cols, self.rows, &triplets)
-    }
-
     /// Dense copy (test helper; avoid on large matrices).
     pub fn to_dense(&self) -> Matrix {
         let mut out = Matrix::zeros(self.rows, self.cols);
         for r in 0..self.rows {
             for (c, v) in self.row_entries(r) {
                 out.set(r, c, out.get(r, c) + v);
-            }
-        }
-        out
-    }
-
-    /// Sparse-dense product `self · dense`, parallel over output rows.
-    ///
-    /// # Panics
-    /// Panics if `self.cols() != dense.rows()`.
-    pub fn spmm(&self, dense: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols,
-            dense.rows(),
-            "spmm: inner dimension mismatch {}x{} · {:?}",
-            self.rows,
-            self.cols,
-            dense.shape()
-        );
-        let n = dense.cols();
-        let mut out = Matrix::zeros(self.rows, n);
-        let work = self.nnz() * n;
-        let body = |r: usize, orow: &mut [f32]| {
-            for (c, v) in self.row_entries(r) {
-                let drow = dense.row(c);
-                for (o, &d) in orow.iter_mut().zip(drow.iter()) {
-                    *o += v * d;
-                }
-            }
-        };
-        if work >= 1 << 16 {
-            out.data_mut()
-                .par_chunks_mut(n.max(1))
-                .enumerate()
-                .for_each(|(r, orow)| body(r, orow));
-        } else {
-            for r in 0..self.rows {
-                let orow = &mut out.data_mut()[r * n..(r + 1) * n];
-                // Re-borrow self immutably inside the loop body.
-                for (c, v) in self.row_entries(r) {
-                    let drow = dense.row(c);
-                    for (o, &d) in orow.iter_mut().zip(drow.iter()) {
-                        *o += v * d;
-                    }
-                }
             }
         }
         out
@@ -212,45 +157,6 @@ impl CsrMatrix {
                     .sum::<f64>()
             })
             .collect()
-    }
-
-    /// Build the symmetric-normalized GCN propagation operator
-    /// `Â = D^{-1/2} (A + I) D^{-1/2}` from an undirected edge list over `n`
-    /// nodes. Each `(u, v)` pair contributes both directions; self-loops are
-    /// added once per node.
-    pub fn gcn_norm_from_edges(n: usize, edges: &[(usize, usize)]) -> CsrMatrix {
-        let mut triplets = Vec::with_capacity(edges.len() * 2 + n);
-        for &(u, v) in edges {
-            triplets.push((u, v, 1.0));
-            if u != v {
-                triplets.push((v, u, 1.0));
-            }
-        }
-        for i in 0..n {
-            triplets.push((i, i, 1.0));
-        }
-        let a = CsrMatrix::from_triplets(n, n, &triplets);
-        // Degree = row sum of A + I.
-        let inv_sqrt_deg: Vec<f32> = (0..n)
-            .map(|r| {
-                let d: f32 = a.row_entries(r).map(|(_, v)| v).sum();
-                if d > 0.0 {
-                    1.0 / d.sqrt()
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        let mut norm = a;
-        for r in 0..n {
-            let lo = norm.indptr[r];
-            let hi = norm.indptr[r + 1];
-            for k in lo..hi {
-                let c = norm.indices[k] as usize;
-                norm.values[k] *= inv_sqrt_deg[r] * inv_sqrt_deg[c];
-            }
-        }
-        norm
     }
 }
 
@@ -742,58 +648,6 @@ mod tests {
     }
 
     #[test]
-    fn spmm_matches_dense_product() {
-        let m =
-            CsrMatrix::from_triplets(3, 4, &[(0, 0, 1.0), (0, 3, 2.0), (1, 1, -1.0), (2, 2, 0.5)]);
-        let x = Matrix::from_fn(4, 2, |r, c| (r + c) as f32);
-        let expect = crate::matmul::matmul(&m.to_dense(), &x);
-        assert!(m.spmm(&x).max_abs_diff(&expect) < 1e-6);
-    }
-
-    #[test]
-    fn spmm_parallel_path_matches() {
-        let triplets: Vec<(usize, usize, f32)> = (0..500)
-            .map(|i| (i % 100, (i * 7) % 100, 1.0 + i as f32 * 0.01))
-            .collect();
-        let m = CsrMatrix::from_triplets(100, 100, &triplets);
-        let x = Matrix::from_fn(100, 200, |r, c| ((r * 3 + c) % 11) as f32 - 5.0);
-        let expect = crate::matmul::matmul(&m.to_dense(), &x);
-        assert!(m.spmm(&x).max_abs_diff(&expect) < 1e-3);
-    }
-
-    #[test]
-    fn transpose_is_involution() {
-        let m = CsrMatrix::from_triplets(2, 5, &[(0, 4, 1.5), (1, 0, -2.0), (1, 4, 3.0)]);
-        let tt = m.transpose().transpose();
-        assert_eq!(m, tt);
-        assert_eq!(m.transpose().to_dense(), m.to_dense().transpose());
-    }
-
-    #[test]
-    fn gcn_norm_rows_of_isolated_graph() {
-        // Graph with no edges: Â = D^{-1/2} I D^{-1/2} = I (degree 1 from the
-        // self loop).
-        let m = CsrMatrix::gcn_norm_from_edges(3, &[]);
-        assert!(m.to_dense().max_abs_diff(&Matrix::eye(3)) < 1e-6);
-    }
-
-    #[test]
-    fn gcn_norm_path_graph_values() {
-        // 0 - 1 - 2 path. Degrees with self loops: 2, 3, 2.
-        let m = CsrMatrix::gcn_norm_from_edges(3, &[(0, 1), (1, 2)]).to_dense();
-        let s2 = 1.0 / 2.0f32; // 1/(sqrt2*sqrt2)
-        let s23 = 1.0 / (2.0f32.sqrt() * 3.0f32.sqrt());
-        let s3 = 1.0 / 3.0f32;
-        assert!((m.get(0, 0) - s2).abs() < 1e-6);
-        assert!((m.get(0, 1) - s23).abs() < 1e-6);
-        assert!((m.get(1, 1) - s3).abs() < 1e-6);
-        assert!((m.get(1, 0) - s23).abs() < 1e-6);
-        assert_eq!(m.get(0, 2), 0.0);
-        // Symmetric.
-        assert!(m.max_abs_diff(&m.transpose()) < 1e-6);
-    }
-
-    #[test]
     fn duplicates_split_across_input_are_merged() {
         // The same coordinate appears at the start, middle, and end of the
         // triplet list, interleaved with other rows — the explicit dedup
@@ -956,23 +810,5 @@ mod tests {
     #[should_panic(expected = "non-decreasing destination")]
     fn csr_graph_rejects_unsorted_destinations() {
         let _ = CsrGraph::from_messages(2, &[(0, 1), (0, 0)]);
-    }
-
-    #[test]
-    fn gcn_norm_spectral_radius_at_most_one() {
-        // Power iteration on Â: the largest eigenvalue of the symmetric
-        // normalized operator with self loops is exactly 1.
-        let edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)];
-        let a = CsrMatrix::gcn_norm_from_edges(4, &edges);
-        let mut v = Matrix::ones(4, 1);
-        for _ in 0..100 {
-            v = a.spmm(&v);
-            let n = v.norm();
-            v.scale_inplace(1.0 / n);
-        }
-        let av = a.spmm(&v);
-        let lambda = av.norm() / v.norm();
-        assert!(lambda <= 1.0 + 1e-4, "spectral radius {lambda} > 1");
-        assert!(lambda > 0.9, "spectral radius {lambda} unexpectedly small");
     }
 }

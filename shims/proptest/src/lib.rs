@@ -204,7 +204,7 @@ pub mod collection {
     use super::test_runner::TestRng;
     use rand::RngExt;
 
-    /// Length specification accepted by [`vec`]: an exact `usize` or a
+    /// Length specification accepted by [`vec()`]: an exact `usize` or a
     /// half-open `Range<usize>`.
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
@@ -250,7 +250,7 @@ pub mod collection {
         }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

@@ -1,6 +1,6 @@
 //! Offline stand-in for `serde_derive`.
 //!
-//! Derives [`serde::Serialize`]/[`serde::Deserialize`] impls against the
+//! Derives `serde::Serialize`/`serde::Deserialize` impls against the
 //! concrete `serde::Value` data model of the sibling `serde` shim. Because
 //! the environment has no crates.io access there is no `syn`/`quote` here:
 //! the item is parsed directly from the `proc_macro::TokenStream` and the
