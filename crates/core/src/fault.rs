@@ -60,8 +60,6 @@ pub struct FaultPlan {
     /// Panic on every n-th engine call (calls are 1-based; fires when
     /// `call % n == 0`).
     pub panic_every_n_calls: Option<u64>,
-    /// Panic on exactly these 1-based engine calls.
-    pub panic_calls: Vec<u64>,
     /// Per-call panic probability in `[0, 1]`, drawn from the seeded RNG.
     pub panic_rate: f64,
     /// Transient failure on every n-th engine call.
@@ -118,7 +116,6 @@ impl FaultPlan {
     /// not considered).
     pub fn engine_faults_possible(&self) -> bool {
         self.panic_every_n_calls.is_some()
-            || !self.panic_calls.is_empty()
             || self.panic_rate > 0.0
             || self.transient_every_n_calls.is_some()
             || !self.transient_calls.is_empty()
@@ -167,7 +164,7 @@ impl FaultInjector {
                     rng.random_range(0.0..1.0) < rate
                 })
         };
-        if hit(p.panic_every_n_calls, &p.panic_calls, p.panic_rate) {
+        if hit(p.panic_every_n_calls, &[], p.panic_rate) {
             return Some(EngineFault::Panic);
         }
         if hit(
@@ -552,7 +549,7 @@ mod tests {
     #[test]
     fn explicit_calls_and_precedence() {
         let plan = FaultPlan {
-            panic_calls: vec![2],
+            panic_every_n_calls: Some(2),
             transient_calls: vec![2, 3],
             latency_every_n_calls: Some(1),
             latency: Duration::from_millis(7),

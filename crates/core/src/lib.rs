@@ -26,7 +26,6 @@ pub mod model;
 pub mod pipeline;
 pub mod runtime;
 pub mod sample;
-pub mod schedule;
 pub mod store;
 pub mod train;
 pub mod wlnm;
@@ -47,7 +46,6 @@ pub use sample::{
     message_graph_for, message_graph_from_messages, prepare_batch, prepare_batch_obs,
     prepare_sample, prepare_sample_obs, PreparedSample, SampleTimers,
 };
-pub use schedule::{EarlyStopping, LrSchedule};
 pub use store::{SampleStore, StoreKey};
 pub use train::{
     predict_probs, DivergenceCause, LinkModel, RecoveryEvent, TrainConfig, Trainer, WatchdogConfig,

@@ -9,7 +9,6 @@ use crate::features::FeatureConfig;
 use crate::metrics::{accuracy, argmax_predictions, average_precision, macro_auc};
 use crate::model::{DgcnnModel, GnnKind, ModelConfig};
 use crate::sample::{prepare_sample_obs, PreparedSample, SampleTimers};
-use crate::schedule::LrSchedule;
 use crate::store::{SampleStore, StoreKey};
 use crate::train::{labels_of, predict_probs, TrainConfig, Trainer};
 use amdgcnn_data::{Dataset, LabeledLink};
@@ -20,6 +19,10 @@ use serde::Serialize;
 use std::path::PathBuf;
 use std::sync::Arc;
 
+/// Checkpoint generations an [`Experiment`] retains: two, so a torn
+/// newest generation always leaves a fallback.
+const KEEP_GENERATIONS: usize = 2;
+
 /// Durable-checkpointing policy for an [`Experiment`].
 #[derive(Debug, Clone)]
 pub struct CheckpointPolicy {
@@ -28,9 +31,6 @@ pub struct CheckpointPolicy {
     /// Save a [`crate::checkpoint::TrainState`] every this many epochs
     /// (clamped to at least 1).
     pub every: usize,
-    /// Generations to retain (clamped to at least 2, so a torn newest
-    /// generation always leaves a fallback).
-    pub keep: usize,
 }
 
 /// The tunable hyperparameters of Table I.
@@ -75,9 +75,6 @@ pub struct Experiment {
     pub hyper: Hyperparams,
     /// Training settings (epochs are driven by the runner methods).
     pub train: TrainConfig,
-    /// Learning-rate schedule applied by sessions built from this
-    /// experiment.
-    pub schedule: LrSchedule,
     /// Durable checkpointing (None disables).
     pub checkpoint: Option<CheckpointPolicy>,
     /// When true, [`Experiment::session`] restores the newest loadable
@@ -102,13 +99,11 @@ pub struct Experiment {
 /// ```
 /// use am_dgcnn::pipeline::Experiment;
 /// use am_dgcnn::model::GnnKind;
-/// use am_dgcnn::schedule::LrSchedule;
 ///
 /// let exp = Experiment::builder()
 ///     .gnn(GnnKind::am_dgcnn())
 ///     .seed(7)
 ///     .batch_size(32)
-///     .schedule(LrSchedule::StepDecay { every: 10, gamma: 0.5 })
 ///     .build();
 /// assert_eq!(exp.train.batch_size, 32);
 /// ```
@@ -117,7 +112,6 @@ pub struct ExperimentBuilder {
     gnn: GnnKind,
     hyper: Hyperparams,
     train: TrainConfig,
-    schedule: LrSchedule,
     checkpoint: Option<CheckpointPolicy>,
     resume: bool,
     injector: Option<Arc<FaultInjector>>,
@@ -136,7 +130,6 @@ impl Default for ExperimentBuilder {
                 ..Default::default()
             },
             hyper,
-            schedule: LrSchedule::Constant,
             checkpoint: None,
             resume: false,
             injector: None,
@@ -168,21 +161,9 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Learning-rate schedule (default: constant).
-    pub fn schedule(mut self, schedule: LrSchedule) -> Self {
-        self.schedule = schedule;
-        self
-    }
-
     /// Samples per gradient step.
     pub fn batch_size(mut self, batch_size: usize) -> Self {
         self.train.batch_size = batch_size;
-        self
-    }
-
-    /// Global-norm gradient clip; `None` disables clipping.
-    pub fn grad_clip(mut self, clip: Option<f32>) -> Self {
-        self.train.grad_clip = clip;
         self
     }
 
@@ -195,20 +176,13 @@ impl ExperimentBuilder {
 
     /// Durably checkpoint the training state to `dir` every `every` epochs
     /// (crash-safe: temp + fsync + atomic rename, checksummed,
-    /// generation-numbered — see [`crate::checkpoint`]).
+    /// generation-numbered — see [`crate::checkpoint`]). The two newest
+    /// generations are kept.
     pub fn checkpoint_to(mut self, dir: impl Into<PathBuf>, every: usize) -> Self {
         self.checkpoint = Some(CheckpointPolicy {
             dir: dir.into(),
             every: every.max(1),
-            keep: 2,
         });
-        self
-    }
-
-    /// Full control over the checkpoint policy (directory, cadence,
-    /// retained generations).
-    pub fn checkpoint(mut self, policy: CheckpointPolicy) -> Self {
-        self.checkpoint = Some(policy);
         self
     }
 
@@ -223,11 +197,7 @@ impl ExperimentBuilder {
         match &mut self.checkpoint {
             Some(policy) => policy.dir = dir,
             None => {
-                self.checkpoint = Some(CheckpointPolicy {
-                    dir,
-                    every: 1,
-                    keep: 2,
-                });
+                self.checkpoint = Some(CheckpointPolicy { dir, every: 1 });
             }
         }
         self.resume = true;
@@ -279,7 +249,6 @@ impl ExperimentBuilder {
             gnn: self.gnn,
             hyper: self.hyper,
             train: self.train,
-            schedule: self.schedule,
             checkpoint: self.checkpoint,
             resume: self.resume,
             injector: self.injector,
@@ -380,9 +349,7 @@ impl Experiment {
             ps,
             train_samples,
             test_samples,
-            trainer: Trainer::new(self.train)
-                .with_schedule(self.schedule)
-                .with_obs(self.obs.clone()),
+            trainer: Trainer::new(self.train).with_obs(self.obs.clone()),
             obs: self.obs.clone(),
         };
         if let Some(inj) = &self.injector {
@@ -475,7 +442,7 @@ impl Experiment {
         let dir = CheckpointDir::create(&policy.dir)?;
         let state = session.trainer.snapshot(&session.ps);
         let fault = self.injector.as_ref().and_then(|inj| inj.next_disk_fault());
-        dir.save(&state, policy.keep, fault)?;
+        dir.save(&state, KEEP_GENERATIONS, fault)?;
         save_span.finish();
         let epochs = session.trainer.epochs_done();
         self.obs.event("pipeline/checkpoint/save", || {
@@ -647,7 +614,7 @@ mod tests {
     }
 
     #[test]
-    fn builder_matches_new_and_sets_knobs() {
+    fn builder_matches_new_and_sets_batch_size() {
         let ds = wn18_like(&Wn18Config::tiny());
         let via_new = Experiment::new(GnnKind::Gcn, fast_hyper(), 5);
         let via_builder = Experiment::builder()
@@ -661,20 +628,7 @@ mod tests {
             "builder defaults must match Experiment::new"
         );
 
-        let tuned = Experiment::builder()
-            .batch_size(4)
-            .grad_clip(None)
-            .schedule(LrSchedule::StepDecay {
-                every: 1,
-                gamma: 0.5,
-            })
-            .build();
+        let tuned = Experiment::builder().batch_size(4).build();
         assert_eq!(tuned.train.batch_size, 4);
-        assert_eq!(tuned.train.grad_clip, None);
-        let session = tuned.session(&ds, Some(4)).expect("session");
-        assert!(matches!(
-            session.trainer.schedule(),
-            LrSchedule::StepDecay { .. }
-        ));
     }
 }

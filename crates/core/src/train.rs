@@ -11,8 +11,7 @@ use crate::checkpoint::TrainState;
 use crate::error::{Error, Result};
 use crate::fault::FaultInjector;
 use crate::sample::PreparedSample;
-use crate::schedule::LrSchedule;
-use amdgcnn_nn::{Adam, Optimizer};
+use amdgcnn_nn::Adam;
 use amdgcnn_obs::Obs;
 use amdgcnn_tensor::{Matrix, ParamId, ParamStore, Tape, Var};
 use rand::{rngs::StdRng, SeedableRng};
@@ -62,7 +61,8 @@ pub trait LinkModel: Sync {
 }
 
 /// Divergence-watchdog settings: what the trainer does when an epoch
-/// produces a non-finite loss or non-finite gradients.
+/// produces a non-finite loss or non-finite gradients. The watchdog is
+/// always on.
 ///
 /// On divergence the watchdog rolls the parameters and optimizer state back
 /// to the checkpoint taken at the start of the epoch and retries. The
@@ -75,10 +75,6 @@ pub trait LinkModel: Sync {
 /// [`Error::Diverged`].
 #[derive(Debug, Clone, Copy)]
 pub struct WatchdogConfig {
-    /// Detect divergence and recover (`false` restores the legacy
-    /// train-through-NaN behavior, skipping the per-batch finiteness
-    /// checks).
-    pub enabled: bool,
     /// Rollback retries allowed per epoch before giving up.
     pub max_retries: usize,
     /// Learning-rate factor applied per retry after the first.
@@ -88,24 +84,24 @@ pub struct WatchdogConfig {
 impl Default for WatchdogConfig {
     fn default() -> Self {
         Self {
-            enabled: true,
             max_retries: 3,
             lr_backoff: 0.5,
         }
     }
 }
 
-/// Training parameters.
+/// Global-norm bound every minibatch gradient is clipped to before the
+/// optimizer step.
+const GRAD_CLIP: f32 = 5.0;
+
+/// Training parameters. The number of epochs is an argument of
+/// [`Trainer::train`], not a setting.
 #[derive(Debug, Clone, Copy)]
 pub struct TrainConfig {
-    /// Epochs over the training split.
-    pub epochs: usize,
     /// Adam learning rate (Table I search dimension).
     pub lr: f32,
     /// Samples per gradient step.
     pub batch_size: usize,
-    /// Global-norm gradient clip (`None` disables).
-    pub grad_clip: Option<f32>,
     /// Seed for shuffling and dropout.
     pub seed: u64,
     /// Divergence detection and rollback recovery.
@@ -115,10 +111,8 @@ pub struct TrainConfig {
 impl Default for TrainConfig {
     fn default() -> Self {
         Self {
-            epochs: 10,
             lr: 1e-3,
             batch_size: 16,
-            grad_clip: Some(5.0),
             seed: 0,
             watchdog: WatchdogConfig::default(),
         }
@@ -166,7 +160,6 @@ pub struct Trainer {
     cfg: TrainConfig,
     optimizer: Adam,
     epoch: usize,
-    schedule: LrSchedule,
     injector: Option<Arc<FaultInjector>>,
     obs: Obs,
     /// Loss history across all epochs trained so far.
@@ -176,13 +169,12 @@ pub struct Trainer {
 }
 
 impl Trainer {
-    /// New trainer with Adam at `cfg.lr` and a constant schedule.
+    /// New trainer with Adam at the constant rate `cfg.lr`.
     pub fn new(cfg: TrainConfig) -> Self {
         Self {
             cfg,
             optimizer: Adam::new(cfg.lr),
             epoch: 0,
-            schedule: LrSchedule::Constant,
             injector: None,
             obs: Obs::disabled(),
             history: Vec::new(),
@@ -194,31 +186,12 @@ impl Trainer {
     /// spans and watchdog events are recorded into it. Timing is observed,
     /// never consumed, so results stay bit-identical to an unobserved run.
     pub fn with_obs(mut self, obs: Obs) -> Self {
-        self.attach_obs(obs);
-        self
-    }
-
-    /// In-place variant of [`with_obs`](Self::with_obs) for trainers
-    /// already embedded in a [`crate::pipeline::Session`].
-    pub fn attach_obs(&mut self, obs: Obs) {
         self.obs = obs;
-    }
-
-    /// Replace the learning-rate schedule (applies from the next epoch).
-    pub fn with_schedule(mut self, schedule: LrSchedule) -> Self {
-        self.schedule = schedule;
         self
     }
 
     /// Attach a deterministic fault injector (testing hook: forces NaN
     /// losses and checkpoint corruption on the epochs its plan schedules).
-    pub fn with_fault_injector(mut self, injector: Arc<FaultInjector>) -> Self {
-        self.attach_fault_injector(injector);
-        self
-    }
-
-    /// In-place variant of [`with_fault_injector`](Self::with_fault_injector)
-    /// for trainers already embedded in a [`crate::pipeline::Session`].
     pub fn attach_fault_injector(&mut self, injector: Arc<FaultInjector>) {
         self.injector = Some(injector);
     }
@@ -233,15 +206,9 @@ impl Trainer {
         self.optimizer.learning_rate()
     }
 
-    /// The learning-rate schedule in effect.
-    pub fn schedule(&self) -> LrSchedule {
-        self.schedule
-    }
-
     /// Train for `epochs` additional epochs.
     ///
-    /// Each epoch is guarded by the divergence watchdog (when
-    /// [`WatchdogConfig::enabled`]): a checkpoint of the parameters and
+    /// Each epoch is guarded by the divergence watchdog: a checkpoint of the parameters and
     /// optimizer state is taken at epoch start, non-finite losses or
     /// gradients abort the epoch, roll back to the checkpoint, and retry —
     /// first unchanged (so a recovered run reproduces an uninterrupted one
@@ -275,18 +242,20 @@ impl Trainer {
             // Cheap checkpoint: ParamStore clones share the value Arcs and
             // the optimizer only copies its moment buffers; the store
             // copies-on-write under optimizer steps, leaving this intact.
-            let mut snapshot = wd.enabled.then(|| (ps.clone(), self.optimizer.clone()));
-            if let (Some((snap_ps, _)), Some(inj)) = (snapshot.as_mut(), self.injector.as_ref()) {
-                if inj.corrupt_checkpoint(self.epoch) && !snap_ps.is_empty() {
-                    // Injected checkpoint corruption: poison the snapshot so
-                    // restore-time validation must catch it.
-                    snap_ps.update(ParamId(0), |m| m.set(0, 0, f32::NAN));
-                }
+            let mut snap_ps = ps.clone();
+            let snap_opt = self.optimizer.clone();
+            let corrupt = self
+                .injector
+                .as_ref()
+                .is_some_and(|inj| inj.corrupt_checkpoint(self.epoch));
+            if corrupt && !snap_ps.is_empty() {
+                // Injected checkpoint corruption: poison the snapshot so
+                // restore-time validation must catch it.
+                snap_ps.update(ParamId(0), |m| m.set(0, 0, f32::NAN));
             }
             let mut attempt = 0usize;
             loop {
-                self.optimizer
-                    .set_learning_rate(self.retry_lr(self.epoch, attempt, wd));
+                self.optimizer.set_learning_rate(self.retry_lr(attempt, wd));
                 let cause = match self.run_epoch(model, ps, samples, attempt) {
                     Ok(loss) => {
                         self.history.push(EpochStats {
@@ -298,9 +267,6 @@ impl Trainer {
                     }
                     Err(cause) => cause,
                 };
-                let (snap_ps, snap_opt) = snapshot
-                    .as_ref()
-                    .expect("divergence is only detected with the watchdog enabled");
                 if !snap_ps.all_finite() {
                     return Err(Error::CheckpointCorrupt { epoch: self.epoch });
                 }
@@ -316,7 +282,7 @@ impl Trainer {
                         retries: wd.max_retries,
                     });
                 }
-                let lr_next = self.retry_lr(self.epoch, attempt, wd);
+                let lr_next = self.retry_lr(attempt, wd);
                 self.obs.counter("train/watchdog_retries").inc();
                 {
                     let epoch = self.epoch;
@@ -408,15 +374,14 @@ impl Trainer {
         Ok(())
     }
 
-    /// Learning rate for retry `attempt` (0-based) of `epoch`: the
-    /// scheduled rate, unchanged for the first attempt and first retry,
+    /// Learning rate for retry `attempt` (0-based) of an epoch: the
+    /// configured rate, unchanged for the first attempt and first retry,
     /// then damped by `lr_backoff` per further retry.
-    fn retry_lr(&self, epoch: usize, attempt: usize, wd: WatchdogConfig) -> f32 {
-        let scheduled = self.schedule.lr_at(self.cfg.lr, epoch);
+    fn retry_lr(&self, attempt: usize, wd: WatchdogConfig) -> f32 {
         if attempt <= 1 {
-            scheduled
+            self.cfg.lr
         } else {
-            scheduled * wd.lr_backoff.powi(attempt as i32 - 1)
+            self.cfg.lr * wd.lr_backoff.powi(attempt as i32 - 1)
         }
     }
 
@@ -433,7 +398,6 @@ impl Trainer {
         samples: &[PreparedSample],
         attempt: usize,
     ) -> std::result::Result<f32, DivergenceCause> {
-        let detect = self.cfg.watchdog.enabled;
         // Span timers resolved once per epoch.
         let _epoch_span = self.obs.timer("train/epoch").start();
         let t_forward = self.obs.timer("train/forward");
@@ -484,13 +448,11 @@ impl Trainer {
                 epoch_loss += *loss_val as f64;
                 losses_finite &= loss_val.is_finite();
             }
-            if detect && !losses_finite {
+            if !losses_finite {
                 return Err(DivergenceCause::NonFiniteLoss);
             }
-            if let Some(clip) = self.cfg.grad_clip {
-                batch_grads.clip_global_norm(clip);
-            }
-            if detect && !batch_grads.all_finite() {
+            batch_grads.clip_global_norm(GRAD_CLIP);
+            if !batch_grads.all_finite() {
                 return Err(DivergenceCause::NonFiniteGradient);
             }
             let opt_span = t_opt.start();
@@ -508,7 +470,7 @@ impl Trainer {
             // rollback path.
             loss = f32::NAN;
         }
-        if detect && !loss.is_finite() {
+        if !loss.is_finite() {
             return Err(DivergenceCause::NonFiniteLoss);
         }
         Ok(loss)
@@ -585,7 +547,6 @@ mod tests {
     fn loss_decreases_over_training() {
         let (model, mut ps, samples) = tiny_setup(GnnKind::am_dgcnn());
         let mut trainer = Trainer::new(TrainConfig {
-            epochs: 0,
             lr: 5e-3,
             ..Default::default()
         });
@@ -707,25 +668,6 @@ mod tests {
         for (i, e) in trainer.history.iter().enumerate() {
             assert_eq!(e.epoch, i + 1);
         }
-    }
-
-    #[test]
-    fn schedule_drives_optimizer_lr() {
-        let (model, mut ps, samples) = tiny_setup(GnnKind::Gcn);
-        let mut trainer = Trainer::new(TrainConfig {
-            lr: 0.8,
-            ..Default::default()
-        })
-        .with_schedule(crate::schedule::LrSchedule::StepDecay {
-            every: 1,
-            gamma: 0.5,
-        });
-        trainer.train(&model, &mut ps, &samples, 1).expect("train");
-        assert!((trainer.current_lr() - 0.8).abs() < 1e-6);
-        trainer.train(&model, &mut ps, &samples, 1).expect("train");
-        assert!((trainer.current_lr() - 0.4).abs() < 1e-6);
-        trainer.train(&model, &mut ps, &samples, 2).expect("train");
-        assert!((trainer.current_lr() - 0.1).abs() < 1e-6);
     }
 
     #[test]

@@ -26,7 +26,6 @@ fn session(ds: &Dataset, watchdog: WatchdogConfig) -> Session {
             sort_k: 10,
         })
         .seed(11)
-        .grad_clip(Some(5.0))
         .watchdog(watchdog)
         .build()
         .session(ds, None)
@@ -144,24 +143,4 @@ fn corrupted_checkpoint_is_detected_instead_of_restored() {
         3,
     );
     assert_eq!(outcome.unwrap_err(), Error::CheckpointCorrupt { epoch: 2 });
-}
-
-#[test]
-fn disabled_watchdog_restores_legacy_train_through_nan() {
-    let ds = dataset();
-    let (s, outcome) = train_with(
-        &ds,
-        WatchdogConfig {
-            enabled: false,
-            ..WatchdogConfig::default()
-        },
-        Some(FaultPlan {
-            nan_loss_epochs: vec![2],
-            ..FaultPlan::default()
-        }),
-        2,
-    );
-    outcome.expect("legacy mode trains through the NaN");
-    assert!(s.trainer.history[1].loss.is_nan());
-    assert!(s.trainer.recoveries.is_empty());
 }

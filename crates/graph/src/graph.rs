@@ -128,12 +128,6 @@ impl GraphBuilder {
         self.edges.len()
     }
 
-    /// Append a node of the given type, returning its id.
-    pub fn add_node(&mut self, ntype: u16) -> u32 {
-        self.node_types.push(ntype);
-        (self.node_types.len() - 1) as u32
-    }
-
     /// Set a node's type.
     ///
     /// # Panics

@@ -35,7 +35,6 @@
 //! against `W·h` plus an edge-payload aggregation of α against `W_e·x` —
 //! no per-edge `gather_rows`/`concat_cols` tape nodes remain.
 
-use crate::activation::Activation;
 use crate::message_graph::{GraphLayer, MessageGraph};
 use amdgcnn_tensor::{init, Matrix, ParamId, ParamStore, Tape, Var};
 use rand::rngs::StdRng;
@@ -119,19 +118,6 @@ impl GatConv {
             });
         }
         Self { cfg, heads }
-    }
-
-    /// Convenience: forward followed by an activation.
-    pub fn forward_activated(
-        &self,
-        tape: &mut Tape,
-        ps: &ParamStore,
-        graph: &MessageGraph,
-        h: Var,
-        act: Activation,
-    ) -> Var {
-        let out = self.forward(tape, ps, graph, h);
-        act.apply(tape, out)
     }
 }
 

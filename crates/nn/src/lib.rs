@@ -3,7 +3,7 @@
 //! Neural-network building blocks over `amdgcnn-tensor`: dense layers, GCN,
 //! GAT (with edge attributes) and R-GCN message passing behind the unified
 //! [`GraphLayer`] trait over a shared [`MessageGraph`] operand, the DGCNN
-//! read-out convolutions, dropout, activations, and first-order optimizers.
+//! read-out convolutions, dropout, activations, and the Adam optimizer.
 //! [`BlockDiagGraph`] packs many subgraphs into one sparse forward.
 
 #![warn(missing_docs)]
@@ -27,5 +27,5 @@ pub use gcn::GcnConv;
 pub use linear::Linear;
 pub use message_graph::{BlockDiagGraph, GraphLayer, MessageGraph};
 pub use mlp::Mlp;
-pub use optim::{Adam, AdamState, Optimizer, Sgd};
+pub use optim::{Adam, AdamState};
 pub use rgcn::{RgcnConfig, RgcnConv};

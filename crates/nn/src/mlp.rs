@@ -80,7 +80,6 @@ impl Mlp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optim::Optimizer;
     use amdgcnn_tensor::autograd::gradcheck::check_gradients;
     use amdgcnn_tensor::Matrix;
     use rand::SeedableRng;

@@ -1,113 +1,43 @@
-//! First-order optimizers: SGD (with momentum) and Adam.
+//! The Adam optimizer, the one optimizer training uses.
 
 use amdgcnn_tensor::{GradStore, Matrix, ParamId, ParamStore};
 
-/// Shared optimizer interface.
-pub trait Optimizer {
-    /// Apply one update step from accumulated gradients.
-    fn step(&mut self, params: &mut ParamStore, grads: &GradStore);
+/// Exponential-decay coefficient of the first-moment estimate.
+const BETA1: f32 = 0.9;
+/// Exponential-decay coefficient of the second-moment estimate.
+const BETA2: f32 = 0.999;
+/// Denominator guard.
+const EPS: f32 = 1e-8;
 
-    /// Current learning rate.
-    fn learning_rate(&self) -> f32;
-
-    /// Change the learning rate (e.g. for schedules).
-    fn set_learning_rate(&mut self, lr: f32);
-}
-
-/// Stochastic gradient descent with optional momentum.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<Option<Matrix>>,
-}
-
-impl Sgd {
-    /// Plain SGD.
-    pub fn new(lr: f32) -> Self {
-        Self::with_momentum(lr, 0.0)
-    }
-
-    /// SGD with momentum `μ`: `v ← μ·v + g`, `θ ← θ − lr·v`.
-    pub fn with_momentum(lr: f32, momentum: f32) -> Self {
-        Self {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut ParamStore, grads: &GradStore) {
-        if self.velocity.len() < params.len() {
-            self.velocity.resize(params.len(), None);
-        }
-        for i in 0..params.len() {
-            let id = ParamId(i);
-            let Some(g) = grads.get(id) else { continue };
-            let update = if self.momentum > 0.0 {
-                let v = self.velocity[i].get_or_insert_with(|| Matrix::zeros(g.rows(), g.cols()));
-                v.scale_inplace(self.momentum);
-                v.add_assign(g);
-                v.clone()
-            } else {
-                g.clone()
-            };
-            let lr = self.lr;
-            params.update(id, |p| p.axpy(-lr, &update));
-        }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
-
-/// Adam (Kingma & Ba, 2015) with optional decoupled weight decay.
+/// Adam (Kingma & Ba, 2015) with betas (0.9, 0.999) and eps 1e-8.
 #[derive(Debug, Clone)]
 pub struct Adam {
     lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    /// Decoupled (AdamW-style) weight decay coefficient.
-    pub weight_decay: f32,
     t: u64,
     m: Vec<Option<Matrix>>,
     v: Vec<Option<Matrix>>,
 }
 
 impl Adam {
-    /// Adam with default betas (0.9, 0.999) and eps 1e-8.
+    /// Adam at learning rate `lr`.
     pub fn new(lr: f32) -> Self {
         Self {
             lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            weight_decay: 0.0,
             t: 0,
             m: Vec::new(),
             v: Vec::new(),
         }
     }
 
-    /// Override the exponential-decay coefficients.
-    pub fn with_betas(mut self, beta1: f32, beta2: f32) -> Self {
-        self.beta1 = beta1;
-        self.beta2 = beta2;
-        self
+    /// Current learning rate.
+    pub fn learning_rate(&self) -> f32 {
+        self.lr
     }
 
-    /// Enable decoupled weight decay.
-    pub fn with_weight_decay(mut self, wd: f32) -> Self {
-        self.weight_decay = wd;
-        self
+    /// Change the learning rate (the training watchdog damps it on
+    /// retries).
+    pub fn set_learning_rate(&mut self, lr: f32) {
+        self.lr = lr;
     }
 
     /// Number of steps taken so far.
@@ -116,9 +46,8 @@ impl Adam {
     }
 
     /// Snapshot the optimizer's mutable state (step count and first/second
-    /// moment estimates) for durable checkpointing. The hyperparameters
-    /// (betas, eps, weight decay) are construction-time configuration and
-    /// are not part of the snapshot.
+    /// moment estimates) for durable checkpointing. The learning rate is
+    /// configuration, not part of the snapshot.
     pub fn export_state(&self) -> AdamState {
         AdamState {
             t: self.t,
@@ -150,28 +79,30 @@ pub struct AdamState {
     pub v: Vec<Option<Matrix>>,
 }
 
-impl Optimizer for Adam {
-    fn step(&mut self, params: &mut ParamStore, grads: &GradStore) {
+impl Adam {
+    /// Apply one update step from accumulated gradients; parameters
+    /// without a gradient do not move.
+    pub fn step(&mut self, params: &mut ParamStore, grads: &GradStore) {
         if self.m.len() < params.len() {
             self.m.resize(params.len(), None);
             self.v.resize(params.len(), None);
         }
         self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        let bc1 = 1.0 - BETA1.powi(self.t as i32);
+        let bc2 = 1.0 - BETA2.powi(self.t as i32);
         for i in 0..params.len() {
             let id = ParamId(i);
             let Some(g) = grads.get(id) else { continue };
             let m = self.m[i].get_or_insert_with(|| Matrix::zeros(g.rows(), g.cols()));
             let v = self.v[i].get_or_insert_with(|| Matrix::zeros(g.rows(), g.cols()));
             // m ← β₁m + (1-β₁)g ; v ← β₂v + (1-β₂)g².
-            m.scale_inplace(self.beta1);
-            m.axpy(1.0 - self.beta1, g);
-            v.scale_inplace(self.beta2);
+            m.scale_inplace(BETA1);
+            m.axpy(1.0 - BETA1, g);
+            v.scale_inplace(BETA2);
             for (vv, &gv) in v.data_mut().iter_mut().zip(g.data().iter()) {
-                *vv += (1.0 - self.beta2) * gv * gv;
+                *vv += (1.0 - BETA2) * gv * gv;
             }
-            let (lr, eps, wd) = (self.lr, self.eps, self.weight_decay);
+            let lr = self.lr;
             let (m, v) = (&self.m[i], &self.v[i]);
             let m = m.as_ref().expect("initialized above");
             let v = v.as_ref().expect("initialized above");
@@ -184,18 +115,10 @@ impl Optimizer for Adam {
                 {
                     let m_hat = mv / bc1;
                     let v_hat = vv / bc2;
-                    *pv -= lr * (m_hat / (v_hat.sqrt() + eps) + wd * *pv);
+                    *pv -= lr * (m_hat / (v_hat.sqrt() + EPS));
                 }
             });
         }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
     }
 }
 
@@ -214,23 +137,6 @@ mod tests {
         let mut gs = GradStore::new(n);
         gs.accumulate(id, &Matrix::full(1, 1, g));
         gs
-    }
-
-    #[test]
-    fn sgd_plain_step() {
-        let (mut ps, id) = one_param_store(1.0);
-        let mut opt = Sgd::new(0.1);
-        opt.step(&mut ps, &grad_of(id, 1, 2.0));
-        assert!((ps.get(id).get(0, 0) - 0.8).abs() < 1e-6);
-    }
-
-    #[test]
-    fn sgd_momentum_accumulates() {
-        let (mut ps, id) = one_param_store(0.0);
-        let mut opt = Sgd::with_momentum(0.1, 0.9);
-        opt.step(&mut ps, &grad_of(id, 1, 1.0)); // v=1.0, θ=-0.1
-        opt.step(&mut ps, &grad_of(id, 1, 1.0)); // v=1.9, θ=-0.29
-        assert!((ps.get(id).get(0, 0) + 0.29).abs() < 1e-6);
     }
 
     #[test]
@@ -272,18 +178,6 @@ mod tests {
     }
 
     #[test]
-    fn weight_decay_pulls_toward_zero() {
-        let (mut ps, id) = one_param_store(1.0);
-        let mut opt = Adam::new(0.0).with_weight_decay(0.5);
-        // lr = 0 means only decay acts... but decay is scaled by lr, so use
-        // a nonzero lr and a zero gradient-ish: grads must exist to update.
-        opt.set_learning_rate(0.1);
-        opt.step(&mut ps, &grad_of(id, 1, 0.0));
-        // Gradient is zero → Adam term 0, decay term lr·wd·θ = 0.05.
-        assert!((ps.get(id).get(0, 0) - 0.95).abs() < 1e-5);
-    }
-
-    #[test]
     fn adam_state_roundtrip_resumes_bit_identically() {
         let (mut ps_a, id) = one_param_store(1.0);
         let mut opt_a = Adam::new(0.05);
@@ -306,23 +200,14 @@ mod tests {
 
     #[test]
     fn quadratic_convergence() {
-        // Minimize (θ-3)² with both optimizers.
-        for use_adam in [false, true] {
-            let (mut ps, id) = one_param_store(-2.0);
-            let mut sgd = Sgd::with_momentum(0.05, 0.5);
-            let mut adam = Adam::new(0.2);
-            for _ in 0..200 {
-                let theta = ps.get(id).get(0, 0);
-                let g = 2.0 * (theta - 3.0);
-                let gs = grad_of(id, 1, g);
-                if use_adam {
-                    adam.step(&mut ps, &gs);
-                } else {
-                    sgd.step(&mut ps, &gs);
-                }
-            }
+        // Minimize (θ-3)².
+        let (mut ps, id) = one_param_store(-2.0);
+        let mut adam = Adam::new(0.2);
+        for _ in 0..200 {
             let theta = ps.get(id).get(0, 0);
-            assert!((theta - 3.0).abs() < 0.05, "adam={use_adam} got {theta}");
+            adam.step(&mut ps, &grad_of(id, 1, 2.0 * (theta - 3.0)));
         }
+        let theta = ps.get(id).get(0, 0);
+        assert!((theta - 3.0).abs() < 0.05, "got {theta}");
     }
 }

@@ -134,7 +134,8 @@ impl InferenceEngine {
     ///
     /// # Errors
     /// `InvalidData` when the artifact was trained on a different dataset
-    /// (by name) or its class count disagrees with the graph's.
+    /// (by name), its class count disagrees with the graph's, or a
+    /// parameter holds a NaN or an infinity.
     pub fn new(
         meta: ArtifactMeta,
         loaded: &ParamStore,
@@ -158,6 +159,12 @@ impl InferenceEngine {
                     "artifact predicts {} classes but the dataset defines {}",
                     meta.model.num_classes, ds.num_classes
                 ),
+            ));
+        }
+        if !loaded.all_finite() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "artifact holds non-finite parameters",
             ));
         }
         let (model, ps) = instantiate(&meta, loaded)?;
@@ -248,6 +255,10 @@ impl InferenceEngine {
     }
 
     /// Read an artifact from `r` and bind it to `ds` in one step.
+    ///
+    /// # Errors
+    /// `InvalidData` when the artifact fails its integrity checks
+    /// ([`load_model`]) or the checks of [`new`](Self::new).
     pub fn load<R: Read>(r: R, ds: Dataset, cache_capacity: usize) -> io::Result<Self> {
         let (meta, loaded) = load_model(r)?;
         Self::new(meta, &loaded, ds, cache_capacity)

@@ -498,7 +498,9 @@ impl Fleet {
     /// it, move its still-queued requests to ring successors (reply
     /// channels intact — the callers never see an error), let its
     /// in-flight batch finish, then shut it down. Returns the number of
-    /// requests redistributed. A no-op (returning 0) on a down slot.
+    /// requests a sibling adopted; a request no sibling can take fails
+    /// with [`Error::FleetUnavailable`] and is not counted. A no-op
+    /// (returning 0) on a down slot.
     pub fn drain_replica(&self, r: usize) -> usize {
         let server = {
             let mut slot = self.lock_slot(r);
@@ -511,12 +513,7 @@ impl Fleet {
         self.counters.drains.inc();
         self.obs
             .event("fleet/replica", || format!("replica {r} draining"));
-        let taken = server.begin_drain_take_queued();
-        let moved = taken.len();
-        for req in taken {
-            self.redistribute(req);
-        }
-        self.counters.redistributed.add(moved as u64);
+        let moved = self.redistribute_all(server.begin_drain_take_queued());
         {
             let mut slot = self.lock_slot(r);
             slot.server = None;
@@ -530,23 +527,37 @@ impl Fleet {
         moved
     }
 
-    /// Re-queue one request taken from a draining replica onto the next
-    /// live replica in its ring order. If no replica can adopt it, the
+    /// Re-queue the requests taken from a draining or rolled replica,
+    /// each via [`redistribute`](Self::redistribute), and count the ones
+    /// placed on `fleet/redistributed`. Returns that count.
+    fn redistribute_all(&self, taken: Vec<Request>) -> usize {
+        let placed = taken
+            .into_iter()
+            .map(|req| self.redistribute(req))
+            .filter(|&adopted| adopted)
+            .count();
+        self.counters.redistributed.add(placed as u64);
+        placed
+    }
+
+    /// Re-queue one taken request onto the next live replica in its ring
+    /// order. Returns whether a replica adopted it. If none can, the
     /// caller gets a typed error — redistribution never silently drops a
     /// request.
-    fn redistribute(&self, req: Request) {
+    fn redistribute(&self, req: Request) -> bool {
         let order = self.ring.route_order(req.query.0, req.query.1);
         let mut req = req;
         for r in order {
             let Some(server) = self.routable_server(r) else {
                 continue;
             };
-            match server.try_adopt(req) {
-                Ok(()) => return,
+            match server.admit(req) {
+                Ok(()) => return true,
                 Err((back, _why)) => req = back,
             }
         }
         let _ = req.reply.send(Err(Error::FleetUnavailable { attempts: 0 }));
+        false
     }
 
     /// Roll every replica forward to a freshly committed graph generation
@@ -567,7 +578,8 @@ impl Fleet {
     /// Down or draining slots are skipped; a later respawn binds them to
     /// the current generation automatically.
     ///
-    /// Returns the number of queued requests carried across the swap.
+    /// Returns the number of queued requests carried across the swap (a
+    /// request no replica can adopt fails typed and is not counted).
     ///
     /// # Errors
     /// Engine construction failure aborts the roll for the remaining
@@ -616,15 +628,10 @@ impl Fleet {
                     }
                 }
             }
-            let taken = old.begin_drain_take_queued();
-            moved += taken.len();
-            for req in taken {
-                self.redistribute(req);
-            }
+            moved += self.redistribute_all(old.begin_drain_take_queued());
             drop(old);
         }
         self.counters.graph_rolls.inc();
-        self.counters.redistributed.add(moved as u64);
         self.obs.event("fleet/graph", || {
             format!("rolled to graph generation {generation}")
         });

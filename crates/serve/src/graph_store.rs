@@ -1,5 +1,4 @@
-//! Versioned graph store with validated, WAL-durable mutation commits —
-//! the graph-side mirror of [`ModelStore`](crate::ModelStore).
+//! Versioned graph store with validated, WAL-durable mutation commits.
 //!
 //! A [`GraphStore`] owns the authoritative [`MutableGraph`], its
 //! [`MutationWal`], and the currently served [`Dataset`] behind an
@@ -20,8 +19,7 @@
 //!    incremental cache invalidation.
 //!
 //! A rejected commit at any step leaves the previous generation serving,
-//! untouched — exactly the `ModelStore` hot-swap contract, applied to the
-//! graph instead of the parameters.
+//! untouched.
 
 use amdgcnn_data::Dataset;
 use amdgcnn_graph::{

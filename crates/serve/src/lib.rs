@@ -1,6 +1,6 @@
 //! Batched inference serving for AM-DGCNN link classification.
 //!
-//! Six layers, each usable on its own:
+//! Five layers, each usable on its own:
 //!
 //! 1. [`artifact`] — a versioned single-file model format bundling the
 //!    architecture ([`am_dgcnn::ModelConfig`] with its
@@ -10,22 +10,20 @@
 //! 2. [`engine`] — an [`InferenceEngine`] holding the loaded model and the
 //!    dataset graph, answering `(u, v)` link queries with on-the-fly
 //!    enclosing-subgraph extraction (the training-time `prepare_sample`
-//!    path) behind an LRU cache of prepared subgraphs.
+//!    path) behind an LRU cache of prepared subgraphs. An engine refuses an
+//!    artifact that fails its checksums, holds a non-finite parameter, or
+//!    was trained on another dataset, so a corrupt file never serves.
 //! 3. [`server`] — a [`BatchServer`] micro-batching front-end: queries
 //!    accumulate up to `max_batch`/`max_wait`, execute as one batch, and
 //!    throughput/latency counters land in the engine's observability
 //!    registry ([`InferenceEngine::obs`]; names below).
-//! 4. [`store`] — a [`ModelStore`] holding the live engine behind a
-//!    versioned slot with **validated hot-swap**: a replacement artifact
-//!    must pass checksum, finiteness, and dataset-binding checks before it
-//!    becomes visible, so a corrupt file can never displace a good model.
-//! 5. [`graph_store`] — a [`GraphStore`] holding the live *graph* behind
+//! 4. [`graph_store`] — a [`GraphStore`] holding the live *graph* behind
 //!    a generation-versioned slot with **validated mutation commits**: a
 //!    batch must pass semantic validation and a read-back-verified WAL
 //!    append before a new snapshot generation becomes visible, so a
 //!    damaged write can never corrupt the served graph — and the WAL
 //!    always replays to a graph bit-identical to the live one.
-//! 6. [`fleet`] — a [`Fleet`] of `BatchServer` replicas behind a
+//! 5. [`fleet`] — a [`Fleet`] of `BatchServer` replicas behind a
 //!    consistent-hash router ([`ring`], [`health`]): automatic failover,
 //!    tail-latency hedging, live drain/respawn, graph-generation rolls
 //!    with incremental k-hop cache invalidation
@@ -118,7 +116,7 @@
 //! | `fleet/hedges` | tail-latency backup submissions |
 //! | `fleet/hedge_wins` | hedges that answered before their primary |
 //! | `fleet/replica_crashes`, `fleet/replica_respawns`, `fleet/replica_drains` | replica lifecycle actions |
-//! | `fleet/redistributed` | queued requests moved to a sibling by a drain or a graph roll |
+//! | `fleet/redistributed` | queued requests a drain or a graph roll placed on a replica; those no replica could adopt fail with `FleetUnavailable` and are not counted |
 //! | `fleet/health_transitions` | fleet health state changes |
 //! | `fleet/graph_rolls` | graph-generation rolls completed |
 //! | `fleet/query` (span) | one observation per fleet query: its end-to-end time |
@@ -137,7 +135,6 @@ pub mod health;
 pub mod ring;
 pub mod server;
 mod stats;
-pub mod store;
 
 pub use artifact::{
     instantiate, load_model, load_model_file, save_model, save_model_file, ArtifactMeta,
@@ -150,4 +147,3 @@ pub use graph_store::{GraphCommit, GraphStore, GraphStoreError};
 pub use health::{FleetHealth, ReplicaHealth};
 pub use ring::HashRing;
 pub use server::{BatchConfig, BatchServer, PendingQuery, RobustnessConfig};
-pub use store::ModelStore;

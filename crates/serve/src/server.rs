@@ -238,48 +238,67 @@ impl BatchServer {
         query: LinkQuery,
         deadline: Option<Instant>,
     ) -> Result<PendingQuery, Error> {
+        let (tx, rx) = mpsc::channel();
+        let req = Request {
+            query,
+            reply: tx,
+            enqueued: Instant::now(),
+            deadline,
+        };
+        self.admit(req).map_err(|(_, e)| {
+            let counters = &self.shared.engine.counters;
+            match e {
+                Error::Degraded => counters.shed_degraded.inc(),
+                Error::Overloaded { .. } => counters.shed_overload.inc(),
+                _ => {}
+            }
+            e
+        })?;
+        Ok(PendingQuery { rx })
+    }
+
+    /// The one admission gate, shared by [`submit`](Self::submit) and the
+    /// fleet's adoption of requests taken from a draining sibling: the
+    /// breaker, then shutdown, then queue capacity. An admitted request
+    /// is queued with its reply channel, enqueue time and deadline as
+    /// given. A refused one is handed back with the admission error,
+    /// uncounted, so the caller can count the shed or try another
+    /// replica.
+    pub(crate) fn admit(&self, req: Request) -> Result<(), (Request, Error)> {
         {
             let mut b = lock_breaker(&self.shared);
             match b.state {
                 BreakerState::Closed => {}
                 BreakerState::Open { since } => {
                     if since.elapsed() >= self.shared.robust.breaker_cooldown {
-                        // Cooldown served: admit this query as the probe.
+                        // Cooldown served: admit this request as the probe.
                         b.state = BreakerState::HalfOpen;
                     } else {
-                        self.shared.engine.counters.shed_degraded.inc();
-                        return Err(Error::Degraded);
+                        return Err((req, Error::Degraded));
                     }
                 }
-                BreakerState::HalfOpen => {
-                    // A probe is already in flight; keep shedding until it
-                    // resolves the breaker one way or the other.
-                    self.shared.engine.counters.shed_degraded.inc();
-                    return Err(Error::Degraded);
-                }
+                // A probe is already in flight; keep shedding until it
+                // resolves the breaker one way or the other.
+                BreakerState::HalfOpen => return Err((req, Error::Degraded)),
             }
         }
-        let (tx, rx) = mpsc::channel();
         {
             let mut q = lock_queue(&self.shared);
             if q.shutdown {
-                return Err(Error::ServerShutdown);
+                return Err((req, Error::ServerShutdown));
             }
             if q.requests.len() >= self.shared.robust.queue_capacity {
-                self.shared.engine.counters.shed_overload.inc();
-                return Err(Error::Overloaded {
-                    capacity: self.shared.robust.queue_capacity,
-                });
+                return Err((
+                    req,
+                    Error::Overloaded {
+                        capacity: self.shared.robust.queue_capacity,
+                    },
+                ));
             }
-            q.requests.push_back(Request {
-                query,
-                reply: tx,
-                enqueued: Instant::now(),
-                deadline,
-            });
+            q.requests.push_back(req);
         }
         self.shared.wakeup.notify_one();
-        Ok(PendingQuery { rx })
+        Ok(())
     }
 
     /// Convenience: submit every query, then wait for all outcomes (in
@@ -369,45 +388,6 @@ impl BatchServer {
         taken
     }
 
-    /// Adopt a request taken from a draining sibling replica: same
-    /// admission checks as [`submit`](Self::submit) (breaker, shutdown,
-    /// capacity), but the existing reply channel, enqueue time, and
-    /// deadline are preserved. On rejection the request is handed back
-    /// with the admission error so the router can try the next replica.
-    pub(crate) fn try_adopt(&self, req: Request) -> Result<(), (Request, Error)> {
-        {
-            let mut b = lock_breaker(&self.shared);
-            match b.state {
-                BreakerState::Closed => {}
-                BreakerState::Open { since } => {
-                    if since.elapsed() >= self.shared.robust.breaker_cooldown {
-                        b.state = BreakerState::HalfOpen;
-                    } else {
-                        return Err((req, Error::Degraded));
-                    }
-                }
-                BreakerState::HalfOpen => return Err((req, Error::Degraded)),
-            }
-        }
-        {
-            let mut q = lock_queue(&self.shared);
-            if q.shutdown {
-                return Err((req, Error::ServerShutdown));
-            }
-            if q.requests.len() >= self.shared.robust.queue_capacity {
-                return Err((
-                    req,
-                    Error::Overloaded {
-                        capacity: self.shared.robust.queue_capacity,
-                    },
-                ));
-            }
-            q.requests.push_back(req);
-        }
-        self.shared.wakeup.notify_one();
-        Ok(())
-    }
-
     /// Force the circuit breaker open, exactly as a run of consecutive
     /// batch failures would — the chaos harness's "open breaker" action.
     /// The breaker heals normally: after the cooldown one probe is
@@ -430,12 +410,6 @@ impl BatchServer {
     /// actively testing recovery.
     pub fn breaker_open(&self) -> bool {
         matches!(lock_breaker(&self.shared).state, BreakerState::Open { .. })
-    }
-
-    /// Whether shutdown (graceful or crash) has begun; a draining or dead
-    /// server rejects new submissions.
-    pub fn is_shutting_down(&self) -> bool {
-        lock_queue(&self.shared).shutdown
     }
 
     fn shutdown_inner(&mut self) {

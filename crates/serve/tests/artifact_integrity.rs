@@ -1,13 +1,12 @@
 //! Artifact-integrity guarantees for the serving layer: any corruption of
 //! an artifact (single byte flip, truncation, injected torn write) is
-//! detected at load, and the [`ModelStore`]'s validated hot-swap refuses
-//! every such candidate while the previous engine keeps serving.
+//! detected at load, and [`InferenceEngine::load`] refuses every such
+//! artifact, a NaN-poisoned or foreign one included.
 
 use am_dgcnn::{Experiment, FeatureConfig, GnnKind, Hyperparams};
 use amdgcnn_data::{wn18_like, Dataset, Wn18Config};
 use amdgcnn_serve::{
     load_model, load_model_file, save_model, save_model_file, ArtifactMeta, InferenceEngine,
-    ModelStore,
 };
 use amdgcnn_tensor::durable::DiskFault;
 use amdgcnn_tensor::{Matrix, ParamStore};
@@ -96,81 +95,40 @@ fn torn_artifact_write_leaves_no_file_and_a_partial_flush_keeps_the_old_one() {
 }
 
 #[test]
-fn hot_swap_refuses_corrupt_candidates_and_keeps_serving() {
+fn engine_load_refuses_corrupt_poisoned_and_foreign_artifacts() {
     let ds = small_dataset();
     let (_, artifact, _) = trained_artifact(&ds, 9);
-    let engine = InferenceEngine::load(artifact.as_slice(), ds.clone(), 64).expect("engine");
-    let store = ModelStore::new(engine, 64);
-    assert_eq!(store.version(), 1);
+    InferenceEngine::load(artifact.as_slice(), ds.clone(), 64).expect("good artifact loads");
+    let refused = |bytes: &[u8]| {
+        let err = InferenceEngine::load(bytes, ds.clone(), 64)
+            .err()
+            .expect("must refuse");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        err
+    };
 
-    let query = (ds.test[0].u, ds.test[0].v);
-    let before = store.engine().predict_one(query);
-
-    // Candidate 1: flipped byte in the parameter region → checksum failure.
+    // A flipped byte in the parameter region: checksum failure.
     let mut corrupt = artifact.clone();
     let pos = artifact.len() - 10;
     corrupt[pos] ^= 0x01;
-    let err = store.hot_swap(corrupt.as_slice()).expect_err("must refuse");
-    assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    refused(&corrupt);
 
-    // Candidate 2: truncated mid-parameters.
-    let err = store
-        .hot_swap(&artifact[..artifact.len() / 2])
-        .expect_err("must refuse");
-    assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    // Truncated mid-parameters.
+    refused(&artifact[..artifact.len() / 2]);
 
-    // Candidate 3: valid format but non-finite parameters.
+    // Valid format but a non-finite parameter.
     let (meta2, _, mut ps2) = trained_artifact(&ds, 9);
     ps2.update(amdgcnn_tensor::ParamId(0), |m: &mut Matrix| {
         m.set(0, 0, f32::NAN)
     });
     let mut poisoned = Vec::new();
     save_model(&meta2, &ps2, &mut poisoned).expect("save");
-    let err = store
-        .hot_swap(poisoned.as_slice())
-        .expect_err("must refuse");
-    assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    let err = refused(&poisoned);
     assert!(err.to_string().contains("non-finite"), "{err}");
 
-    // Candidate 4: trained against a different dataset (by name).
+    // Trained against a different dataset (by name).
     let mut other = small_dataset();
     other.name = "other-graph";
     let (_, other_artifact, _) = trained_artifact(&other, 9);
-    let err = store
-        .hot_swap(other_artifact.as_slice())
-        .expect_err("must refuse");
-    assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-
-    // Through all four refusals the original engine kept serving,
-    // unchanged, and every refusal was counted.
-    assert_eq!(store.version(), 1);
-    assert_eq!(store.rejected_swaps(), 4);
-    assert_eq!(store.engine().predict_one(query), before);
-}
-
-#[test]
-fn hot_swap_accepts_a_valid_replacement() {
-    let ds = small_dataset();
-    let (_, artifact, _) = trained_artifact(&ds, 9);
-    let engine = InferenceEngine::load(artifact.as_slice(), ds.clone(), 64).expect("engine");
-    let store = ModelStore::new(engine, 64);
-
-    let query = (ds.test[0].u, ds.test[0].v);
-    let before = store.engine().predict_one(query);
-
-    // A differently trained model over the same dataset is a valid swap.
-    let (_, replacement, _) = trained_artifact(&ds, 10);
-    let version = store.hot_swap(replacement.as_slice()).expect("valid swap");
-    assert_eq!(version, 2);
-    assert_eq!(store.version(), 2);
-    assert_eq!(store.rejected_swaps(), 0);
-    let after = store.engine().predict_one(query);
-    assert_ne!(before, after, "new parameters must actually be live");
-
-    // Swapping from a file works the same way.
-    let path = scratch_path("swap");
-    let (meta3, _, ps3) = trained_artifact(&ds, 11);
-    save_model_file(&path, &meta3, &ps3, None).expect("save file");
-    assert_eq!(store.hot_swap_file(&path).expect("file swap"), 3);
-    std::fs::remove_file(&path).ok();
+    refused(&other_artifact);
 }

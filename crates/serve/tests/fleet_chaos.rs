@@ -479,7 +479,10 @@ fn single_replica_drain_fails_typed_not_hanging() {
         })
         .collect();
     std::thread::sleep(Duration::from_millis(10));
-    fleet.drain_replica(0);
+    // No sibling can adopt the requests queued behind the pinned engine
+    // call, so none counts as redistributed.
+    assert_eq!(fleet.drain_replica(0), 0);
+    assert_eq!(count(&fleet, "fleet/redistributed"), 0);
     // Queued requests had nowhere to go: each resolves (in-flight work may
     // still answer; the rest error typed), and none hangs the join.
     for h in handles {

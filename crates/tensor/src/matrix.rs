@@ -142,11 +142,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consume into the raw row-major data vector.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element accessor.
     #[inline]
     pub fn get(&self, r: usize, c: usize) -> f32 {

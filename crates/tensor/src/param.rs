@@ -73,17 +73,9 @@ impl ParamStore {
         self.values.iter().map(|m| m.len()).sum()
     }
 
-    /// Sum of squared parameter values (for L2 regularization reporting).
-    pub fn l2_norm_squared(&self) -> f32 {
-        self.values
-            .iter()
-            .map(|m| m.data().iter().map(|v| v * v).sum::<f32>())
-            .sum()
-    }
-
     /// True when every scalar of every parameter is finite — the
     /// validity check the training watchdog runs on rollback checkpoints
-    /// and the serving layer can run on loaded artifacts.
+    /// and the serving engine runs on every artifact it loads.
     pub fn all_finite(&self) -> bool {
         self.values.iter().all(|m| m.all_finite())
     }

@@ -385,11 +385,6 @@ impl CsrGraph {
         self.spmm_ew(&self.reduce_weights(reduce), h)
     }
 
-    /// Transposed [`aggregate`](Self::aggregate) (its autograd adjoint).
-    pub fn aggregate_t(&self, g: &Matrix, reduce: Reduce) -> Matrix {
-        self.spmm_ew_t(&self.reduce_weights(reduce), g)
-    }
-
     /// Edge-weighted g-SpMM: `out[d] = Σ_{m ∈ in(d)} w[m] · h[src[m]]`.
     /// `h` is `[N, F]`, `w` one weight per message; returns `[N, F]`.
     pub fn spmm_ew(&self, w: &[f32], h: &Matrix) -> Matrix {
