@@ -201,11 +201,6 @@ impl Trainer {
         self.epoch
     }
 
-    /// The learning rate the optimizer is currently using.
-    pub fn current_lr(&self) -> f32 {
-        self.optimizer.learning_rate()
-    }
-
     /// Train for `epochs` additional epochs.
     ///
     /// Each epoch is guarded by the divergence watchdog: a checkpoint of the parameters and

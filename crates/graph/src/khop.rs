@@ -6,12 +6,18 @@
 //! capping how many new nodes each hop may add (SEAL's `max_nodes_per_hop`).
 //! Every edge *directly joining* `a` and `b` is excluded from the induced
 //! subgraph — the model must not see the link it is asked to classify.
+//!
+//! Cost: each endpoint's walk is linear in the neighbor entries it scans
+//! (the adjacency lists of its frontiers), plus one shuffle of every hop
+//! that overflows the cap; edge induction is linear in the members'
+//! adjacency. Membership tests read a per-thread epoch-stamped mark
+//! buffer, so no call hashes a node id or clears a graph-sized array.
 
 use crate::bfs::UNREACHABLE;
 use crate::drnl::drnl_labels;
 use crate::graph::{GraphBuilder, KnowledgeGraph};
+use crate::marks::{with_marks, NodeMarks};
 use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
-use std::collections::HashMap;
 use std::collections::VecDeque;
 
 /// How the two endpoint neighborhoods are combined.
@@ -116,16 +122,29 @@ impl EnclosingSubgraph {
 }
 
 /// K-hop reachable set from `source` with an optional per-hop admission cap.
-/// Returns original node ids (excluding nodes pruned by the cap).
-fn capped_khop(g: &KnowledgeGraph, source: u32, cfg: &SubgraphConfig, rng_salt: u64) -> Vec<u32> {
-    let mut visited: HashMap<u32, u32> = HashMap::new();
-    visited.insert(source, 0);
+/// Returns original node ids (excluding nodes pruned by the cap), sorted.
+///
+/// One mark per node covers both "visited" and "already in the next
+/// frontier", so a candidate is tested once whatever the frontier size.
+/// The frontier keeps first-seen order, which is the sequence the capped
+/// shuffle sees. Nodes the cap drops are unmarked: they may be reached
+/// again at a later hop.
+fn capped_khop(
+    g: &KnowledgeGraph,
+    source: u32,
+    cfg: &SubgraphConfig,
+    rng_salt: u64,
+    marks: &mut NodeMarks,
+) -> Vec<u32> {
+    marks.begin(g.num_nodes());
+    marks.mark(source);
+    let mut reached = vec![source];
     let mut frontier = vec![source];
     for hop in 1..=cfg.hops {
         let mut next: Vec<u32> = Vec::new();
         for &u in &frontier {
             for v in g.neighbor_ids(u) {
-                if !visited.contains_key(&v) && !next.contains(&v) {
+                if marks.mark(v) {
                     next.push(v);
                 }
             }
@@ -138,21 +157,21 @@ fn capped_khop(g: &KnowledgeGraph, source: u32, cfg: &SubgraphConfig, rng_salt: 
                     cfg.seed ^ rng_salt.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ hop as u64,
                 );
                 next.shuffle(&mut rng);
+                for &v in &next[cap..] {
+                    marks.unmark(v);
+                }
                 next.truncate(cap);
                 next.sort_unstable();
             }
         }
-        for &v in &next {
-            visited.insert(v, hop);
-        }
         if next.is_empty() {
             break;
         }
+        reached.extend_from_slice(&next);
         frontier = next;
     }
-    let mut out: Vec<u32> = visited.into_keys().collect();
-    out.sort_unstable();
-    out
+    reached.sort_unstable();
+    reached
 }
 
 /// Extract the enclosing subgraph of the pair `(a, b)`.
@@ -186,9 +205,19 @@ pub fn extract_neighborhood(
 ) -> InducedSubgraph {
     assert_ne!(a, b, "target endpoints must differ");
     assert!((a as usize) < g.num_nodes() && (b as usize) < g.num_nodes());
+    with_marks(|marks| neighborhood_with(g, a, b, cfg, marks))
+}
 
-    let from_a = capped_khop(g, a, cfg, a as u64);
-    let from_b = capped_khop(g, b, cfg, b as u64);
+/// [`extract_neighborhood`] on an explicit mark buffer.
+fn neighborhood_with(
+    g: &KnowledgeGraph,
+    a: u32,
+    b: u32,
+    cfg: &SubgraphConfig,
+    marks: &mut NodeMarks,
+) -> InducedSubgraph {
+    let from_a = capped_khop(g, a, cfg, a as u64, marks);
+    let from_b = capped_khop(g, b, cfg, b as u64, marks);
 
     let mut nodes: Vec<u32> = vec![a, b];
     let mut members: Vec<u32> = match cfg.mode {
@@ -220,9 +249,10 @@ pub fn extract_neighborhood(
     members.retain(|&n| n != a && n != b);
     nodes.extend(members);
 
-    let mut local_of: HashMap<u32, u32> = HashMap::with_capacity(nodes.len());
+    // Each member's mark carries its local index.
+    marks.begin(g.num_nodes());
     for (i, &n) in nodes.iter().enumerate() {
-        local_of.insert(n, i as u32);
+        marks.set(n, i as u32);
     }
 
     // Induced edges, each original edge taken once (from its `u` side),
@@ -237,7 +267,7 @@ pub fn extract_neighborhood(
             if (e.u == a && e.v == b) || (e.u == b && e.v == a) {
                 continue; // hide the target link
             }
-            if let (Some(&lu), Some(&lv)) = (local_of.get(&e.u), local_of.get(&e.v)) {
+            if let (Some(lu), Some(lv)) = (marks.get(e.u), marks.get(e.v)) {
                 edges.push(LocalEdge {
                     u: lu,
                     v: lv,
@@ -470,6 +500,40 @@ mod tests {
         assert_eq!(combined.dist_a, phased.dist_a);
         assert_eq!(combined.dist_b, phased.dist_b);
         assert_eq!(combined.drnl, phased.drnl);
+    }
+
+    #[test]
+    fn epoch_wrap_leaves_extraction_unchanged() {
+        // A random multigraph dense enough that the caps bite.
+        use rand::RngExt;
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut b = GraphBuilder::new(60);
+        for _ in 0..400 {
+            let u = rng.random_range(0..60u32);
+            let v = rng.random_range(0..60u32);
+            b.add_edge(u, v, (u % 3) as u16);
+        }
+        let g = b.build();
+        // Three passes per extraction: the wrap falls inside the second.
+        let mut wrapping = NodeMarks::starting_at(u32::MAX - 4);
+        for (mode, cap) in [
+            (NeighborhoodMode::Union, Some(6)),
+            (NeighborhoodMode::Intersection, Some(4)),
+            (NeighborhoodMode::Union, None),
+        ] {
+            let cfg = SubgraphConfig {
+                hops: 2,
+                mode,
+                max_nodes_per_hop: cap,
+                seed: 5,
+            };
+            for (a, b) in [(0, 1), (2, 40), (7, 59), (13, 21)] {
+                let want = neighborhood_with(&g, a, b, &cfg, &mut NodeMarks::default());
+                let got = neighborhood_with(&g, a, b, &cfg, &mut wrapping);
+                assert_eq!(got.nodes, want.nodes, "pair ({a}, {b}) {mode:?}");
+                assert_eq!(got.edges, want.edges, "pair ({a}, {b}) {mode:?}");
+            }
+        }
     }
 
     #[test]

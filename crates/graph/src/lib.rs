@@ -36,6 +36,7 @@ pub mod graph;
 pub mod heuristics;
 pub mod katz;
 pub mod khop;
+mod marks;
 pub mod mutable;
 pub mod node2vec;
 pub mod pagerank;

@@ -29,9 +29,9 @@
 //! enclosing subgraph could have changed is inside the region.
 
 use crate::graph::{Edge, GraphBuilder, GraphError, KnowledgeGraph};
+use crate::marks::{with_marks, NodeMarks};
 use amdgcnn_tensor::durable::{crc32_update, DiskFault};
 use amdgcnn_tensor::wal::{replay as wal_replay, Wal};
-use std::collections::HashSet;
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
@@ -231,33 +231,41 @@ impl AffectedRegion {
     }
 }
 
-/// Union the closed ball of radius `hops` around `center` into `out`.
-/// A center beyond the graph's node range contributes nothing (it only
-/// exists on the other snapshot). The BFS runs on a ball-local visited
-/// set — `out` may already hold nodes from other centers' balls, which
-/// must not truncate this one.
-fn collect_ball(g: &KnowledgeGraph, center: u32, hops: usize, out: &mut HashSet<u32>) {
+/// Append the closed ball of radius `hops` around `center` to `out`
+/// (duplicates across balls are the caller's to remove). A center beyond
+/// the graph's node range contributes nothing (it only exists on the
+/// other snapshot). The BFS marks nodes in a pass of its own — `out` may
+/// already hold nodes from other centers' balls, which must not truncate
+/// this one.
+fn collect_ball(
+    g: &KnowledgeGraph,
+    center: u32,
+    hops: usize,
+    marks: &mut NodeMarks,
+    out: &mut Vec<u32>,
+) {
     if center as usize >= g.num_nodes() {
         return;
     }
-    let mut seen = HashSet::new();
-    let mut frontier = vec![center];
-    seen.insert(center);
+    marks.begin(g.num_nodes());
+    marks.mark(center);
+    // The ball's newest hop is `out[lo..]`.
+    let mut lo = out.len();
+    out.push(center);
     for _ in 0..hops {
-        let mut next = Vec::new();
-        for &n in &frontier {
-            for v in g.neighbor_ids(n) {
-                if seen.insert(v) {
-                    next.push(v);
+        let hi = out.len();
+        for i in lo..hi {
+            for v in g.neighbor_ids(out[i]) {
+                if marks.mark(v) {
+                    out.push(v);
                 }
             }
         }
-        if next.is_empty() {
+        if out.len() == hi {
             break;
         }
-        frontier = next;
+        lo = hi;
     }
-    out.extend(seen);
 }
 
 /// Receipt for one committed mutation batch: the generation it produced,
@@ -282,13 +290,15 @@ impl Commit {
     /// node into a neighborhood only on the new snapshot, a retired edge
     /// only reached it on the old one.
     pub fn region(&self, hops: usize) -> AffectedRegion {
-        let mut set = HashSet::new();
-        for &p in &self.touched {
-            collect_ball(&self.before, p, hops, &mut set);
-            collect_ball(&self.after, p, hops, &mut set);
-        }
-        let mut nodes: Vec<u32> = set.into_iter().collect();
+        let mut nodes = Vec::new();
+        with_marks(|marks| {
+            for &p in &self.touched {
+                collect_ball(&self.before, p, hops, marks, &mut nodes);
+                collect_ball(&self.after, p, hops, marks, &mut nodes);
+            }
+        });
         nodes.sort_unstable();
+        nodes.dedup();
         AffectedRegion { nodes }
     }
 }

@@ -4,13 +4,14 @@
 //! live graph bit-identically), snapshot isolation (published
 //! generations never change underneath a reader), and region soundness
 //! (every endpoint a batch touches lands inside its invalidation
-//! region).
+//! region, which equals a plain hash-set BFS over both snapshots).
 
 use amdgcnn_graph::mutable::replay_log;
 use amdgcnn_graph::{
-    graph_digest, GraphBuilder, GraphMutation, KnowledgeGraph, MutableGraph, MutationWal,
+    graph_digest, Commit, GraphBuilder, GraphMutation, KnowledgeGraph, MutableGraph, MutationWal,
 };
 use proptest::prelude::*;
+use std::collections::HashSet;
 use std::fs::OpenOptions;
 use std::io::Write;
 use std::path::PathBuf;
@@ -97,6 +98,39 @@ impl Mirror {
     }
 }
 
+/// Reference region: the union of `hops`-balls around every touched
+/// node on both snapshots, each ball a BFS with its own `HashSet`.
+fn oracle_region(commit: &Commit, hops: usize) -> Vec<u32> {
+    let mut out = HashSet::new();
+    for &p in &commit.touched {
+        for g in [&commit.before, &commit.after] {
+            if p as usize >= g.num_nodes() {
+                continue;
+            }
+            let mut seen = HashSet::from([p]);
+            let mut frontier = vec![p];
+            for _ in 0..hops {
+                let mut next = Vec::new();
+                for &n in &frontier {
+                    for v in g.neighbor_ids(n) {
+                        if seen.insert(v) {
+                            next.push(v);
+                        }
+                    }
+                }
+                if next.is_empty() {
+                    break;
+                }
+                frontier = next;
+            }
+            out.extend(seen);
+        }
+    }
+    let mut nodes: Vec<u32> = out.into_iter().collect();
+    nodes.sort_unstable();
+    nodes
+}
+
 fn scratch(tag: &str, case: u64) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("amdgcnn-mutprops-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");
@@ -155,6 +189,28 @@ proptest! {
                 graph_digest(snap), *digest,
                 "generation {} snapshot mutated under a reader", generation
             );
+        }
+    }
+
+    /// Region equivalence: at every radius, each commit's region is the
+    /// sorted node set the hash-set BFS finds, on batches that add nodes
+    /// (so the after snapshot outgrows the before one) as well as edges.
+    #[test]
+    fn regions_match_the_hash_set_oracle(
+        base in random_graph(40, 120),
+        raw in raw_batches(),
+    ) {
+        let mut live = MutableGraph::from_graph(base.clone());
+        let mut mirror = Mirror::new(&base);
+        for r in &raw {
+            let commit = live.apply(&mirror.batch(r)).expect("interpreted batch is valid");
+            for hops in 0..4 {
+                prop_assert_eq!(
+                    commit.region(hops).nodes(),
+                    oracle_region(&commit, hops).as_slice(),
+                    "generation {} radius {}", commit.generation, hops
+                );
+            }
         }
     }
 

@@ -29,11 +29,6 @@ impl Adam {
         }
     }
 
-    /// Current learning rate.
-    pub fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
     /// Change the learning rate (the training watchdog damps it on
     /// retries).
     pub fn set_learning_rate(&mut self, lr: f32) {
