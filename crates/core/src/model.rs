@@ -20,11 +20,13 @@
 //!
 //! The stack is a `Vec<Box<dyn GraphLayer>>` over the shared
 //! [`MessageGraph`] operand, so model assembly and the forward pass are
-//! family-agnostic, and [`DgcnnModel::forward_batched`] can pack many
-//! subgraphs into one [`BlockDiagGraph`] and run the message passing as a
-//! handful of large sparse kernels — reproducing the per-sample forward
-//! bit-for-bit (all kernels reduce per destination over block-local
-//! messages).
+//! family-agnostic. [`DgcnnModel::forward_batched`] packs a minibatch's
+//! subgraphs into one [`BlockDiagGraph`], runs the message passing as a
+//! handful of large sparse kernels, and then runs steps 3-5 once over the
+//! minibatch's `[B, ·]` rows: block SortPooling, row-batched convolutions
+//! and `[B, ·]` classifier GEMMs. Every kernel computes a sample's rows
+//! the same way at any batch size, so a sample's logits are bit-identical
+//! in a minibatch and alone; [`DgcnnModel::forward`] is the batch of one.
 
 use crate::sample::PreparedSample;
 use crate::train::LinkModel;
@@ -34,6 +36,7 @@ use amdgcnn_nn::{
 };
 use amdgcnn_tensor::{Conv1dSpec, Matrix, ParamStore, Tape, Var};
 use rand::rngs::StdRng;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Which message-passing family the DGCNN skeleton uses.
@@ -335,31 +338,11 @@ impl DgcnnModel {
         }
     }
 
-    /// SortPooling + 1-D convolution read-out + dense classifier over one
-    /// subgraph's `[N, C_total]` concatenated representation.
-    fn readout(
-        &self,
-        tape: &mut Tape,
-        ps: &ParamStore,
-        cat: Var,
-        dropout_rng: Option<&mut StdRng>,
-    ) -> Var {
-        let c_total = self.cfg.total_channels();
-        debug_assert_eq!(tape.shape(cat).1, c_total);
-        let pooled = tape.sort_pool(cat, self.cfg.sort_k);
-        let flat = tape.reshape(pooled, 1, self.cfg.sort_k * c_total);
-        let c1 = self.conv1.forward(tape, ps, flat);
-        let c1 = tape.tanh(c1);
-        let p1 = tape.max_pool1d(c1, 2);
-        let c2 = self.conv2.forward(tape, ps, p1);
-        let c2 = tape.tanh(c2);
-        let (ch, len) = tape.shape(c2);
-        let flat2 = tape.reshape(c2, 1, ch * len);
-        self.mlp.forward(tape, ps, flat2, dropout_rng)
-    }
-
-    /// Forward pass over one prepared subgraph. Returns `[1, num_classes]`
-    /// logits. Pass `dropout_rng` during training; `None` for inference.
+    /// Forward pass over one prepared subgraph: [`forward_batched`] of a
+    /// batch of one. Returns `[1, num_classes]` logits. Pass `dropout_rng`
+    /// during training; `None` for inference.
+    ///
+    /// [`forward_batched`]: Self::forward_batched
     pub fn forward(
         &self,
         tape: &mut Tape,
@@ -367,29 +350,31 @@ impl DgcnnModel {
         sample: &PreparedSample,
         dropout_rng: Option<&mut StdRng>,
     ) -> Var {
-        let x = tape.leaf(sample.features.clone());
-        let cat = self.gnn_concat(tape, ps, &sample.graph, x);
-        self.readout(tape, ps, cat, dropout_rng)
+        self.forward_batched(tape, ps, &[sample], dropout_rng.map(std::slice::from_mut))[0]
     }
 
     /// Batched forward pass: packs the samples' graphs into one
     /// [`BlockDiagGraph`], runs the message-passing stack once over the
-    /// packed graph, then applies the per-sample read-out to each block's
-    /// node rows. Returns one `[1, num_classes]` logit row per sample, in
-    /// order.
+    /// packed graph, then the read-out once over the minibatch: block
+    /// SortPooling writes each sample's `k` rows into one `[B, k*C]`
+    /// matrix, and both convolutions, the max pooling and the classifier
+    /// run over `[B, ·]` rows. Returns one `[1, num_classes]` logit row per
+    /// sample, in order.
     ///
-    /// Because every sparse kernel reduces per destination over that
-    /// destination's (block-local) messages in the same order as the
-    /// per-sample graph, and the dense ops are row-independent, the batched
-    /// logits are **bit-identical** to [`forward`](Self::forward) run
-    /// sample by sample. `dropout_rngs`, when given, must hold one RNG per
-    /// sample (the same streams the per-sample path would use).
+    /// Every sparse kernel reduces per destination over that destination's
+    /// (block-local) messages in the same order as a lone sample's graph,
+    /// and every read-out kernel computes a row from that row alone in an
+    /// order that does not depend on the row count. So each sample's logits
+    /// are **bit-identical** at any batch size, and a batch of one is the
+    /// reference ([`forward`](Self::forward)). `dropout_rngs`, when given,
+    /// must hold one RNG per sample: sample `b`'s dropout mask is drawn
+    /// from `dropout_rngs[b]`.
     pub fn forward_batched(
         &self,
         tape: &mut Tape,
         ps: &ParamStore,
         samples: &[&PreparedSample],
-        mut dropout_rngs: Option<&mut [StdRng]>,
+        dropout_rngs: Option<&mut [StdRng]>,
     ) -> Vec<Var> {
         if samples.is_empty() {
             return Vec::new();
@@ -402,13 +387,23 @@ impl DgcnnModel {
         let feats: Vec<&Matrix> = samples.iter().map(|s| &s.features).collect();
         let x = tape.leaf(Matrix::concat_rows(&feats));
         let cat = self.gnn_concat(tape, ps, &packed.graph, x);
-        (0..samples.len())
-            .map(|k| {
-                let idx: Vec<usize> = packed.node_range(k).collect();
-                let local = tape.gather_rows(cat, Arc::new(idx));
-                let rng = dropout_rngs.as_mut().map(|r| &mut r[k]);
-                self.readout(tape, ps, local, rng)
-            })
+        debug_assert_eq!(tape.shape(cat).1, self.cfg.total_channels());
+
+        let b = samples.len();
+        let blocks: Vec<Range<usize>> = (0..b).map(|k| packed.node_range(k)).collect();
+        let pooled = tape.sort_pool_blocks(cat, &blocks, self.cfg.sort_k);
+        let c1 = self.conv1.forward_rows(tape, ps, pooled);
+        let c1 = tape.tanh(c1);
+        // Max pooling runs along each channel: one channel per row.
+        let (channels, len) = (self.conv1.spec.out_channels, self.cfg.sort_k);
+        let c1 = tape.reshape(c1, b * channels, len);
+        let p1 = tape.max_pool1d(c1, 2);
+        let p1 = tape.reshape(p1, b, channels * (len / 2));
+        let c2 = self.conv2.forward_rows(tape, ps, p1);
+        let c2 = tape.tanh(c2);
+        let logits = self.mlp.forward(tape, ps, c2, dropout_rngs);
+        (0..b)
+            .map(|k| tape.gather_rows(logits, Arc::new(vec![k])))
             .collect()
     }
 }

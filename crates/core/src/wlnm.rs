@@ -141,7 +141,8 @@ impl LinkModel for WlnmModel {
         dropout_rng: Option<&mut StdRng>,
     ) -> Var {
         let x = tape.leaf(self.encode(sample));
-        self.mlp.forward(tape, ps, x, dropout_rng)
+        self.mlp
+            .forward(tape, ps, x, dropout_rng.map(std::slice::from_mut))
     }
 
     fn num_classes(&self) -> usize {

@@ -4,7 +4,8 @@
 use amdgcnn_tensor::{init, Conv1dSpec, Matrix, ParamId, ParamStore, Tape, Var};
 use rand::rngs::StdRng;
 
-/// Trainable 1-D convolution: input `[C_in, L]` → `[C_out, L_out]`.
+/// Trainable 1-D convolution: input `[C_in, L]` → `[C_out, L_out]`, or a
+/// minibatch of such samples one per row (`[B, C_in*L]` → `[B, C_out*L_out]`).
 #[derive(Debug, Clone)]
 pub struct Conv1dLayer {
     /// Weight `[C_out, C_in * kernel]`.
@@ -28,11 +29,21 @@ impl Conv1dLayer {
         Self { weight, bias, spec }
     }
 
-    /// Forward pass.
+    /// Forward pass over one `[C_in, L]` sample.
     pub fn forward(&self, tape: &mut Tape, ps: &ParamStore, x: Var) -> Var {
         let w = tape.param(self.weight, ps.get(self.weight).clone());
         let b = tape.param(self.bias, ps.get(self.bias).clone());
         tape.conv1d(x, w, b, self.spec)
+    }
+
+    /// Forward pass over a minibatch: row `b` of the `[B, C_in*L]` input is
+    /// sample `b`'s `[C_in, L]` input flattened, and row `b` of the result
+    /// is its `[C_out, L_out]` output flattened, equal to
+    /// [`forward`](Self::forward) of that sample bit for bit.
+    pub fn forward_rows(&self, tape: &mut Tape, ps: &ParamStore, x: Var) -> Var {
+        let w = tape.param(self.weight, ps.get(self.weight).clone());
+        let b = tape.param(self.bias, ps.get(self.bias).clone());
+        tape.conv1d_rows(x, w, b, self.spec)
     }
 
     /// Output length for a given input length.

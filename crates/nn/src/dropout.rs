@@ -26,22 +26,30 @@ impl Dropout {
         Self { prob }
     }
 
-    /// Apply in training mode, drawing the mask from `rng`.
-    pub fn apply(&self, tape: &mut Tape, x: Var, rng: &mut StdRng) -> Var {
+    /// Apply in training mode to an `[R, C]` input: row `r`'s mask is
+    /// drawn from `rngs[r]`, so a row's mask is the same whether it is
+    /// dropped alone or inside a minibatch.
+    ///
+    /// # Panics
+    /// Panics unless there is one RNG per row.
+    pub fn apply(&self, tape: &mut Tape, x: Var, rngs: &mut [StdRng]) -> Var {
         if self.prob == 0.0 {
             return x;
         }
         let (r, c) = tape.shape(x);
+        assert_eq!(rngs.len(), r, "dropout: one RNG per row");
         let keep = 1.0 - self.prob;
         let scale = 1.0 / keep;
         let mask: Arc<Vec<f32>> = Arc::new(
-            (0..r * c)
-                .map(|_| {
-                    if rng.random::<f32>() < keep {
-                        scale
-                    } else {
-                        0.0
-                    }
+            rngs.iter_mut()
+                .flat_map(|rng| {
+                    (0..c).map(move |_| {
+                        if rng.random::<f32>() < keep {
+                            scale
+                        } else {
+                            0.0
+                        }
+                    })
                 })
                 .collect(),
         );
@@ -59,17 +67,17 @@ mod tests {
     fn zero_prob_is_identity() {
         let mut tape = Tape::new();
         let x = tape.leaf(Matrix::ones(2, 2));
-        let mut rng = StdRng::seed_from_u64(0);
-        let y = Dropout::new(0.0).apply(&mut tape, x, &mut rng);
+        let mut rngs = [StdRng::seed_from_u64(0), StdRng::seed_from_u64(1)];
+        let y = Dropout::new(0.0).apply(&mut tape, x, &mut rngs);
         assert_eq!(y, x);
     }
 
     #[test]
     fn expectation_is_preserved() {
         let mut tape = Tape::new();
-        let x = tape.leaf(Matrix::ones(100, 100));
+        let x = tape.leaf(Matrix::ones(1, 10_000));
         let mut rng = StdRng::seed_from_u64(1);
-        let y = Dropout::new(0.3).apply(&mut tape, x, &mut rng);
+        let y = Dropout::new(0.3).apply(&mut tape, x, std::slice::from_mut(&mut rng));
         let mean = tape.value(y).mean();
         assert!((mean - 1.0).abs() < 0.05, "inverted-dropout mean {mean}");
     }
@@ -77,9 +85,9 @@ mod tests {
     #[test]
     fn elements_are_zero_or_scaled() {
         let mut tape = Tape::new();
-        let x = tape.leaf(Matrix::ones(10, 10));
+        let x = tape.leaf(Matrix::ones(1, 100));
         let mut rng = StdRng::seed_from_u64(2);
-        let y = Dropout::new(0.5).apply(&mut tape, x, &mut rng);
+        let y = Dropout::new(0.5).apply(&mut tape, x, std::slice::from_mut(&mut rng));
         for &v in tape.value(y).data() {
             assert!(v == 0.0 || (v - 2.0).abs() < 1e-6, "unexpected value {v}");
         }
@@ -96,10 +104,26 @@ mod tests {
         let make = || {
             let mut tape = Tape::new();
             let x = tape.leaf(Matrix::ones(5, 5));
-            let mut rng = StdRng::seed_from_u64(9);
-            let y = Dropout::new(0.4).apply(&mut tape, x, &mut rng);
+            let mut rngs: Vec<StdRng> = (0..5).map(|i| StdRng::seed_from_u64(9 + i)).collect();
+            let y = Dropout::new(0.4).apply(&mut tape, x, &mut rngs);
             tape.value(y).clone()
         };
         assert_eq!(make(), make());
+    }
+
+    #[test]
+    fn each_row_draws_from_its_own_rng() {
+        // Row r of a batch gets the mask row r alone would get from rngs[r].
+        let d = Dropout::new(0.5);
+        let mut tape = Tape::new();
+        let x = tape.leaf(Matrix::ones(3, 8));
+        let mut rngs: Vec<StdRng> = (0..3).map(|i| StdRng::seed_from_u64(40 + i)).collect();
+        let batched = d.apply(&mut tape, x, &mut rngs);
+        for r in 0..3 {
+            let xr = tape.leaf(Matrix::ones(1, 8));
+            let mut rng = StdRng::seed_from_u64(40 + r as u64);
+            let single = d.apply(&mut tape, xr, std::slice::from_mut(&mut rng));
+            assert_eq!(tape.value(batched).row(r), tape.value(single).row(0));
+        }
     }
 }

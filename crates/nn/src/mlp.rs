@@ -42,24 +42,25 @@ impl Mlp {
         }
     }
 
-    /// Forward pass. `dropout_rng` enables dropout (training mode); `None`
-    /// runs in inference mode.
+    /// Forward pass over `[R, in]` rows. `dropout_rngs` enables dropout
+    /// (training mode) and holds one RNG per row: row `r`'s masks are drawn
+    /// from `dropout_rngs[r]`, so each row of a minibatch is computed as it
+    /// would be alone. `None` runs in inference mode.
     pub fn forward(
         &self,
         tape: &mut Tape,
         ps: &ParamStore,
         x: Var,
-        dropout_rng: Option<&mut StdRng>,
+        mut dropout_rngs: Option<&mut [StdRng]>,
     ) -> Var {
         let mut h = x;
         let last = self.layers.len() - 1;
-        let mut rng = dropout_rng;
         for (i, layer) in self.layers.iter().enumerate() {
             h = layer.forward(tape, ps, h);
             if i < last {
                 h = self.activation.apply(tape, h);
-                if let (Some(d), Some(r)) = (&self.dropout, rng.as_deref_mut()) {
-                    h = d.apply(tape, h, r);
+                if let (Some(d), Some(rngs)) = (&self.dropout, dropout_rngs.as_deref_mut()) {
+                    h = d.apply(tape, h, rngs);
                 }
             }
         }

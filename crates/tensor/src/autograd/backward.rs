@@ -5,7 +5,7 @@
 //! intermediate nodes are dropped as soon as they have been propagated;
 //! parameter gradients are collected into a [`GradStore`].
 
-use super::op::Op;
+use super::op::{Conv1dSpec, Op};
 use super::tape::Tape;
 use crate::matmul::{matmul_nt, matmul_tn};
 use crate::matrix::Matrix;
@@ -156,15 +156,14 @@ impl Tape {
                     let scale = g.get(0, 0) / (r * c).max(1) as f32;
                     acc(&mut grads, x.index(), Matrix::full(r, c, scale));
                 }
-                Op::SortPool { src, perm, .. } => {
+                Op::SortPool { src, kept } => {
+                    // Each source row was kept at most once, so its
+                    // gradient is its slot's gradient, copied.
                     let (rows, cols) = self.shape(*src);
                     let mut dx = Matrix::zeros(rows, cols);
-                    for (out_row, &src_row) in perm.iter().enumerate() {
-                        let grow = g.row(out_row);
-                        let drow = dx.row_mut(src_row);
-                        for (d, &gv) in drow.iter_mut().zip(grow.iter()) {
-                            *d += gv;
-                        }
+                    for &(slot, row) in kept {
+                        dx.row_mut(row)
+                            .copy_from_slice(&g.data()[slot * cols..(slot + 1) * cols]);
                     }
                     acc(&mut grads, src.index(), dx);
                 }
@@ -173,37 +172,10 @@ impl Tape {
                     weight,
                     bias,
                     spec,
+                    len,
                 } => {
-                    let x = self.value(*input);
-                    let w = self.value(*weight);
-                    let l = x.cols();
-                    let l_out = spec.out_len(l);
-                    let mut dx = Matrix::zeros(spec.in_channels, l);
-                    let mut dw = Matrix::zeros(spec.out_channels, spec.in_channels * spec.kernel);
-                    let mut db = Matrix::zeros(spec.out_channels, 1);
-                    for o in 0..spec.out_channels {
-                        let wrow = w.row(o);
-                        let grow = g.row(o);
-                        let mut bsum = 0.0f32;
-                        for (t, &gv) in grow.iter().enumerate().take(l_out) {
-                            if gv == 0.0 {
-                                continue;
-                            }
-                            bsum += gv;
-                            let start = t * spec.stride;
-                            for ci in 0..spec.in_channels {
-                                let base = ci * spec.kernel;
-                                let xrow = x.row(ci);
-                                for kk in 0..spec.kernel {
-                                    dw.data_mut()
-                                        [o * spec.in_channels * spec.kernel + base + kk] +=
-                                        gv * xrow[start + kk];
-                                    dx.data_mut()[ci * l + start + kk] += gv * wrow[base + kk];
-                                }
-                            }
-                        }
-                        db.set(o, 0, db.get(o, 0) + bsum);
-                    }
+                    let (dx, dw, db) =
+                        conv1d_backward(self.value(*input), self.value(*weight), &g, *spec, *len);
                     acc(&mut grads, input.index(), dx);
                     acc(&mut grads, weight.index(), dw);
                     acc(&mut grads, bias.index(), db);
@@ -248,6 +220,58 @@ impl Tape {
         }
         store
     }
+}
+
+/// Adjoint of the row-batched convolution, one output position (window)
+/// at a time: `dW += g[:, t] ⊗ window` and `db += g[:, t]` per window, and
+/// the window gradient `Σ_o g[o, t] · W[o, :]` is added back onto the
+/// input (col2im). Every inner loop runs over the `C_in * kernel` window.
+fn conv1d_backward(
+    x: &Matrix,
+    w: &Matrix,
+    g: &Matrix,
+    spec: Conv1dSpec,
+    len: usize,
+) -> (Matrix, Matrix, Matrix) {
+    let l_out = spec.out_len(len);
+    let in_size = spec.in_channels * len;
+    let out_size = spec.out_channels * l_out;
+    let (rows, cols) = x.shape();
+    let mut dx = Matrix::zeros(rows, cols);
+    let mut dw = Matrix::zeros(w.rows(), w.cols());
+    let mut db = Matrix::zeros(spec.out_channels, 1);
+    let mut col = vec![0.0f32; w.cols()];
+    let mut dcol = vec![0.0f32; w.cols()];
+    for ((xs, gs), dxs) in x
+        .data()
+        .chunks_exact(in_size)
+        .zip(g.data().chunks_exact(out_size))
+        .zip(dx.data_mut().chunks_exact_mut(in_size))
+    {
+        for t in 0..l_out {
+            spec.window(xs, len, t, &mut col);
+            dcol.fill(0.0);
+            let mut touched = false;
+            for o in 0..spec.out_channels {
+                let gv = gs[o * l_out + t];
+                if gv == 0.0 {
+                    continue; // max pooling routes no gradient here
+                }
+                touched = true;
+                db.data_mut()[o] += gv;
+                for (d, &cv) in dw.row_mut(o).iter_mut().zip(&col) {
+                    *d += gv * cv;
+                }
+                for (d, &wv) in dcol.iter_mut().zip(w.row(o)) {
+                    *d += gv * wv;
+                }
+            }
+            if touched {
+                spec.add_window(dxs, len, t, &dcol);
+            }
+        }
+    }
+    (dx, dw, db)
 }
 
 #[inline]

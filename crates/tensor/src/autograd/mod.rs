@@ -1,9 +1,10 @@
 //! Tape-based reverse-mode automatic differentiation.
 //!
-//! One [`Tape`] records one sample's forward pass; [`Tape::backward`]
-//! produces parameter gradients in a [`crate::param::GradStore`]. Tapes are
-//! single-threaded and created per sample, which lets a trainer fan samples
-//! out over rayon workers with zero shared mutable state.
+//! One [`Tape`] records one forward pass, usually a whole minibatch's;
+//! [`Tape::backward`] produces parameter gradients in a
+//! [`crate::param::GradStore`]. Tapes are single-threaded and own all their
+//! state, so independent tapes (inference micro-batches) can run on rayon
+//! workers with no shared mutable state.
 
 mod backward;
 pub mod gradcheck;
@@ -74,6 +75,22 @@ mod tests {
         assert!((g.get(0, 2) - probs.get(0, 2)).abs() < 1e-5);
         // Gradient of softmax CE sums to zero across classes.
         assert!(g.sum().abs() < 1e-5);
+    }
+
+    /// Rows that tie on every channel keep index order: with one slot left,
+    /// the lower row is kept and receives the gradient, in every block.
+    #[test]
+    fn sort_pool_ties_route_gradient_to_the_lower_row() {
+        let mut params = ParamStore::new();
+        let x = params.register("x", Matrix::col_vector(&[0.0, 2.0, 2.0, 1.0, 1.0]));
+        let mut tape = Tape::new();
+        let xv = tape.param(x, params.get(x).clone());
+        let p = tape.sort_pool_blocks(xv, &[0..3, 3..5], 1);
+        assert_eq!(tape.value(p).data(), &[2.0, 1.0]);
+        let loss = tape.mean_all(p);
+        let grads = tape.backward(loss, params.len());
+        let g = grads.get(x).expect("grad");
+        assert_eq!(g.data(), &[0.0, 0.5, 0.0, 0.5, 0.0]);
     }
 
     /// Unused parameters get no gradient entry.

@@ -41,6 +41,29 @@ impl Conv1dSpec {
         );
         (len - self.kernel) / self.stride + 1
     }
+
+    /// Copy window `t` of one sample's `[C_in, len]` input into `col`
+    /// (im2col for one output position), in the weight's
+    /// `c * kernel + offset` order.
+    pub(crate) fn window(&self, x: &[f32], len: usize, t: usize, col: &mut [f32]) {
+        let start = t * self.stride;
+        for (c, dst) in col.chunks_exact_mut(self.kernel).enumerate() {
+            dst.copy_from_slice(&x[c * len + start..c * len + start + self.kernel]);
+        }
+    }
+
+    /// Add a window gradient `dcol` back onto one sample's `[C_in, len]`
+    /// input gradient at output position `t` (col2im, the adjoint of
+    /// [`window`](Self::window)).
+    pub(crate) fn add_window(&self, dx: &mut [f32], len: usize, t: usize, dcol: &[f32]) {
+        let start = t * self.stride;
+        for (c, src) in dcol.chunks_exact(self.kernel).enumerate() {
+            let dst = &mut dx[c * len + start..c * len + start + self.kernel];
+            for (d, &v) in dst.iter_mut().zip(src) {
+                *d += v;
+            }
+        }
+    }
 }
 
 /// A recorded operation.
@@ -125,21 +148,22 @@ pub enum Op {
     },
     /// Mean of all elements → `[1, 1]`.
     MeanAll(Var),
-    /// SortPooling (Zhang et al. 2018): rows sorted by the last channel,
-    /// truncated/zero-padded to `k` rows. `perm[i]` is the source row placed
-    /// at output row `i` (length `min(k, N)`).
-    SortPool {
-        src: Var,
-        perm: Vec<usize>,
-        k: usize,
-    },
-    /// 1-D convolution: input `[C_in, L]`, weight `[C_out, C_in*kernel]`,
-    /// bias `[C_out, 1]` → `[C_out, L_out]`.
+    /// SortPooling (Zhang et al. 2018) over row blocks: each block's rows
+    /// sorted by the last channel, truncated/zero-padded to `k` rows.
+    /// `kept` holds `(slot, row)` for every kept row: source row `row` was
+    /// copied to the `slot`-th `C`-wide slot of the output's row-major
+    /// data. Padding slots are absent. Each source row appears at most once.
+    SortPool { src: Var, kept: Vec<(usize, usize)> },
+    /// 1-D convolution of `B` samples, each `[C_in, len]` in row-major
+    /// order: input `[C_in, len]` (B = 1) or `[B, C_in*len]`, weight
+    /// `[C_out, C_in*kernel]`, bias `[C_out, 1]` → `B` outputs of
+    /// `[C_out, L_out]`, laid out the same way.
     Conv1d {
         input: Var,
         weight: Var,
         bias: Var,
         spec: Conv1dSpec,
+        len: usize,
     },
     /// Non-overlapping 1-D max pooling over `[C, L]` with window `size`.
     /// `argmax` records the flat input index chosen for each output element.

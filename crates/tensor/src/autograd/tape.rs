@@ -1,16 +1,18 @@
 //! The autodiff tape: an append-only arena of operation nodes.
 //!
-//! A tape records one sample's forward computation; ops only ever reference
-//! earlier nodes, so creation order is a topological order and the backward
-//! pass is a single reverse sweep. Tapes are cheap, single-threaded, and
-//! created per sample — the data-parallel trainer builds one tape per
-//! subgraph on each rayon worker.
+//! A tape records one forward computation; ops only ever reference earlier
+//! nodes, so creation order is a topological order and the backward pass is
+//! a single reverse sweep. Tapes are cheap and single-threaded. The trainer
+//! records a whole minibatch on one tape (the packed message passing, one
+//! `[B, ·]` read-out and the mean loss), and inference builds one tape per
+//! micro-batch.
 
 use super::op::{Conv1dSpec, Op, Var};
 use crate::matmul::matmul;
 use crate::matrix::Matrix;
 use crate::param::ParamId;
 use crate::sparse::{CsrGraph, Reduce};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A node's stored value: computed matrices are owned; parameter leaves
@@ -314,44 +316,116 @@ impl Tape {
 
     /// SortPooling: order rows by descending last channel (ties broken by
     /// earlier channels, then original index), keep the first `k`, zero-pad
-    /// to exactly `k` rows.
+    /// to exactly `k` rows. `[N, C]` in, `[k, C]` out: the one-block case
+    /// of [`sort_pool_blocks`](Self::sort_pool_blocks).
     pub fn sort_pool(&mut self, x: Var, k: usize) -> Var {
+        let (n, c) = self.shape(x);
+        self.sort_pool_impl(x, std::slice::from_ref(&(0..n)), k, (k, c))
+    }
+
+    /// Block SortPooling: sort-pool each row block of a packed `[N, C]`
+    /// matrix on its own (as [`sort_pool`](Self::sort_pool)) and write
+    /// block `b`'s `k` rows, flattened, into row `b` of a `[B, k*C]`
+    /// result. Blocks must be ascending and disjoint.
+    pub fn sort_pool_blocks(&mut self, x: Var, blocks: &[Range<usize>], k: usize) -> Var {
+        let c = self.shape(x).1;
+        self.sort_pool_impl(x, blocks, k, (blocks.len(), k * c))
+    }
+
+    fn sort_pool_impl(
+        &mut self,
+        x: Var,
+        blocks: &[Range<usize>],
+        k: usize,
+        (rows, cols): (usize, usize),
+    ) -> Var {
         assert!(k > 0, "sort_pool: k must be positive");
         let src = self.value(x);
-        let n = src.rows();
-        let c = src.cols();
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&a, &b| {
-            let ra = src.row(a);
-            let rb = src.row(b);
-            // Descending by last channel, then previous channels.
-            for ch in (0..c).rev() {
-                match rb[ch].partial_cmp(&ra[ch]) {
-                    Some(std::cmp::Ordering::Equal) | None => continue,
-                    Some(ord) => return ord,
+        let (n, c) = src.shape();
+        let mut out = Matrix::zeros(rows, cols);
+        let mut kept = Vec::new();
+        let mut order: Vec<usize> = Vec::new();
+        let mut prev_end = 0;
+        for (b, block) in blocks.iter().enumerate() {
+            assert!(
+                block.start >= prev_end && block.start <= block.end && block.end <= n,
+                "sort_pool: blocks must be ascending, disjoint and within {n} rows"
+            );
+            prev_end = block.end;
+            order.clear();
+            order.extend(block.clone());
+            order.sort_by(|&a, &b| {
+                let ra = src.row(a);
+                let rb = src.row(b);
+                // Descending by last channel, then previous channels.
+                for ch in (0..c).rev() {
+                    match rb[ch].partial_cmp(&ra[ch]) {
+                        Some(std::cmp::Ordering::Equal) | None => continue,
+                        Some(ord) => return ord,
+                    }
                 }
+                a.cmp(&b)
+            });
+            for (i, &row) in order.iter().take(k).enumerate() {
+                let slot = b * k + i;
+                out.data_mut()[slot * c..(slot + 1) * c].copy_from_slice(src.row(row));
+                kept.push((slot, row));
             }
-            a.cmp(&b)
-        });
-        let keep = k.min(n);
-        let perm: Vec<usize> = order[..keep].to_vec();
-        let mut out = Matrix::zeros(k, c);
-        for (dst, &srow) in perm.iter().enumerate() {
-            out.row_mut(dst).copy_from_slice(src.row(srow));
         }
-        self.push(out, Op::SortPool { src: x, perm, k })
+        self.push(out, Op::SortPool { src: x, kept })
     }
 
     /// 1-D convolution. Input `[C_in, L]`, weight `[C_out, C_in*kernel]`
-    /// (flattened as `c * kernel + offset`), bias `[C_out, 1]`.
+    /// (flattened as `c * kernel + offset`), bias `[C_out, 1]`; output
+    /// `[C_out, L_out]`. The one-sample case of
+    /// [`conv1d_rows`](Self::conv1d_rows).
     pub fn conv1d(&mut self, input: Var, weight: Var, bias: Var, spec: Conv1dSpec) -> Var {
+        let (c_in, len) = self.shape(input);
+        assert_eq!(c_in, spec.in_channels, "conv1d: input channel mismatch");
+        let shape = (spec.out_channels, spec.out_len(len));
+        self.conv1d_impl(input, weight, bias, spec, len, shape)
+    }
+
+    /// Row-batched 1-D convolution: row `b` of the `[B, C_in*L]` input is
+    /// one sample's `[C_in, L]` input in row-major order, and row `b` of
+    /// the `[B, C_out*L_out]` output is that sample's `[C_out, L_out]`
+    /// output. Each row equals [`conv1d`](Self::conv1d) of its sample bit
+    /// for bit.
+    pub fn conv1d_rows(&mut self, input: Var, weight: Var, bias: Var, spec: Conv1dSpec) -> Var {
+        let (b, cols) = self.shape(input);
+        assert_eq!(
+            cols % spec.in_channels,
+            0,
+            "conv1d_rows: row width {cols} is not a multiple of {} channels",
+            spec.in_channels
+        );
+        let len = cols / spec.in_channels;
+        let shape = (b, spec.out_channels * spec.out_len(len));
+        self.conv1d_impl(input, weight, bias, spec, len, shape)
+    }
+
+    /// The convolution kernel over every `[C_in, len]` sample of the
+    /// input's row-major data, recorded with the given output shape. Per
+    /// output position it copies the window out (im2col) and runs one
+    /// `[1, C_in*kernel] · Wᵀ` row product that vectorizes over output
+    /// channels; each output starts from the bias and adds the window
+    /// terms in `c * kernel + offset` order.
+    fn conv1d_impl(
+        &mut self,
+        input: Var,
+        weight: Var,
+        bias: Var,
+        spec: Conv1dSpec,
+        len: usize,
+        (rows, cols): (usize, usize),
+    ) -> Var {
         let x = self.value(input);
         let w = self.value(weight);
         let b = self.value(bias);
-        assert_eq!(x.rows(), spec.in_channels, "conv1d: input channel mismatch");
+        let p = spec.in_channels * spec.kernel;
         assert_eq!(
             w.shape(),
-            (spec.out_channels, spec.in_channels * spec.kernel),
+            (spec.out_channels, p),
             "conv1d: weight shape mismatch"
         );
         assert_eq!(
@@ -359,23 +433,29 @@ impl Tape {
             (spec.out_channels, 1),
             "conv1d: bias shape mismatch"
         );
-        let l = x.cols();
-        let l_out = spec.out_len(l);
-        let mut out = Matrix::zeros(spec.out_channels, l_out);
-        for o in 0..spec.out_channels {
-            let wrow = w.row(o);
-            let bval = b.get(o, 0);
+        let l_out = spec.out_len(len);
+        let in_size = spec.in_channels * len;
+        let out_size = spec.out_channels * l_out;
+        let wt = w.transpose();
+        let mut out = Matrix::zeros(rows, cols);
+        let mut col = vec![0.0f32; p];
+        let mut acc = vec![0.0f32; spec.out_channels];
+        for (xs, os) in x
+            .data()
+            .chunks_exact(in_size)
+            .zip(out.data_mut().chunks_exact_mut(out_size))
+        {
             for t in 0..l_out {
-                let start = t * spec.stride;
-                let mut acc = bval;
-                for ci in 0..spec.in_channels {
-                    let xrow = x.row(ci);
-                    let wslice = &wrow[ci * spec.kernel..(ci + 1) * spec.kernel];
-                    for (kk, &wv) in wslice.iter().enumerate() {
-                        acc += wv * xrow[start + kk];
+                spec.window(xs, len, t, &mut col);
+                acc.copy_from_slice(b.data());
+                for (&cv, wrow) in col.iter().zip(wt.data().chunks_exact(spec.out_channels)) {
+                    for (a, &wv) in acc.iter_mut().zip(wrow) {
+                        *a += wv * cv;
                     }
                 }
-                out.set(o, t, acc);
+                for (o, &a) in acc.iter().enumerate() {
+                    os[o * l_out + t] = a;
+                }
             }
         }
         self.push(
@@ -385,6 +465,7 @@ impl Tape {
                 weight,
                 bias,
                 spec,
+                len,
             },
         )
     }

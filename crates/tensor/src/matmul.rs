@@ -1,7 +1,6 @@
 //! Matrix-multiplication kernels.
 //!
-//! Three variants cover every contraction reverse-mode autodiff needs
-//! without materializing transposes:
+//! Three variants cover every contraction reverse-mode autodiff needs:
 //!
 //! * [`matmul`]    — `C = A · B`
 //! * [`matmul_nt`] — `C = A · Bᵀ`
@@ -10,7 +9,13 @@
 //! All kernels use an i-k-j loop order (row-major friendly, auto-vectorizes)
 //! and fan the output rows out over rayon once the FLOP count crosses
 //! [`PAR_FLOP_THRESHOLD`]; below it the sequential kernel wins because the
-//! fork/join overhead dominates.
+//! fork/join overhead dominates. [`matmul_nt`] is the one that transposes
+//! an operand: it copies `B` (a weight, in the backward pass) into `Bᵀ` so
+//! its product gets the same i-k-j inner loop instead of serial dot
+//! products. [`matmul`] and [`matmul_nt`] compute each output row from its
+//! left-operand row alone, in the same order at any row count (parallel or
+//! not), so a row of a minibatch product equals that row's own product bit
+//! for bit.
 
 use crate::matrix::Matrix;
 use rayon::prelude::*;
@@ -49,6 +54,11 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
 
 /// `C = A · Bᵀ` (dot products of rows of `A` with rows of `B`).
 ///
+/// Runs as the i-k-j product of `A` with an explicit `Bᵀ`, with no
+/// zero-skip, so the inner loop vectorizes over the output row. Each entry
+/// still sums `a[i, p] · b[j, p]` from `0.0` in increasing `p`, the order
+/// of a plain dot-product loop, so the result is that loop's bit for bit.
+///
 /// # Panics
 /// Panics if `A.cols() != B.cols()`.
 pub fn matmul_nt(a: &Matrix, b: &Matrix) -> Matrix {
@@ -59,31 +69,7 @@ pub fn matmul_nt(a: &Matrix, b: &Matrix) -> Matrix {
         a.shape(),
         b.shape()
     );
-    let (m, k) = a.shape();
-    let n = b.rows();
-    let mut out = Matrix::zeros(m, n);
-    let body = |i: usize, orow: &mut [f32]| {
-        let arow = a.row(i);
-        for (j, o) in orow.iter_mut().enumerate() {
-            let brow = b.row(j);
-            let mut acc = 0.0f32;
-            for p in 0..k {
-                acc += arow[p] * brow[p];
-            }
-            *o = acc;
-        }
-    };
-    if m * n * k >= PAR_FLOP_THRESHOLD {
-        out.data_mut()
-            .par_chunks_mut(n)
-            .enumerate()
-            .for_each(|(i, orow)| body(i, orow));
-    } else {
-        for i in 0..m {
-            body(i, row_of(&mut out, i, n));
-        }
-    }
-    out
+    matmul_dense(a, &b.transpose())
 }
 
 /// `C = Aᵀ · B`.
@@ -169,14 +155,12 @@ pub fn matmul_dense(a: &Matrix, b: &Matrix) -> Matrix {
 /// One output row of `A · B`: `orow += arow · B`.
 #[inline]
 fn mm_row(arow: &[f32], b: &Matrix, orow: &mut [f32]) {
-    let n = b.cols();
     for (p, &av) in arow.iter().enumerate() {
         if av == 0.0 {
             continue; // node-feature matrices are often one-hot sparse
         }
-        let brow = b.row(p);
-        for j in 0..n {
-            orow[j] += av * brow[j];
+        for (o, &bv) in orow.iter_mut().zip(b.row(p)) {
+            *o += av * bv;
         }
     }
 }
@@ -184,11 +168,9 @@ fn mm_row(arow: &[f32], b: &Matrix, orow: &mut [f32]) {
 /// One output row of `A · B` with no zero-skip: the dense reference path.
 #[inline]
 fn mm_row_dense(arow: &[f32], b: &Matrix, orow: &mut [f32]) {
-    let n = b.cols();
     for (p, &av) in arow.iter().enumerate() {
-        let brow = b.row(p);
-        for j in 0..n {
-            orow[j] += av * brow[j];
+        for (o, &bv) in orow.iter_mut().zip(b.row(p)) {
+            *o += av * bv;
         }
     }
 }

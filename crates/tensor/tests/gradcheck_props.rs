@@ -241,6 +241,55 @@ proptest! {
         );
         prop_assert!(res.is_ok(), "{res:?}");
     }
+
+    /// Row-batched conv at conv1's read-out shape: one input channel,
+    /// stride = kernel = the channel count (4), five positions.
+    #[test]
+    fn grad_conv1d_rows_conv1_shape_one_row(x in mat(1, 20), w in mat(3, 4), b in mat(3, 1)) {
+        check_conv_rows(x, w, b, Conv1dSpec { in_channels: 1, out_channels: 3, kernel: 4, stride: 4 });
+    }
+
+    #[test]
+    fn grad_conv1d_rows_conv1_shape_three_rows(x in mat(3, 20), w in mat(3, 4), b in mat(3, 1)) {
+        check_conv_rows(x, w, b, Conv1dSpec { in_channels: 1, out_channels: 3, kernel: 4, stride: 4 });
+    }
+
+    /// Row-batched conv at conv2's read-out shape: 16 input channels,
+    /// kernel 5, stride 1, length 7.
+    #[test]
+    fn grad_conv1d_rows_conv2_shape_one_row(x in mat(1, 16 * 7), w in mat(4, 16 * 5), b in mat(4, 1)) {
+        check_conv_rows(x, w, b, Conv1dSpec { in_channels: 16, out_channels: 4, kernel: 5, stride: 1 });
+    }
+
+    #[test]
+    fn grad_conv1d_rows_conv2_shape_three_rows(x in mat(3, 16 * 7), w in mat(4, 16 * 5), b in mat(4, 1)) {
+        check_conv_rows(x, w, b, Conv1dSpec { in_channels: 16, out_channels: 4, kernel: 5, stride: 1 });
+    }
+}
+
+/// Finite-difference check of [`Tape::conv1d_rows`] in input, weight and
+/// bias, through a squared loss.
+fn check_conv_rows(x: Matrix, w: Matrix, b: Matrix, spec: Conv1dSpec) {
+    let mut params = ParamStore::new();
+    let ix = params.register("x", x);
+    let iw = params.register("w", w);
+    let ib = params.register("b", b);
+    let res = check_gradients(
+        &params,
+        |tape, ps| {
+            let vx = tape.param(ix, ps.get(ix).clone());
+            let vw = tape.param(iw, ps.get(iw).clone());
+            let vb = tape.param(ib, ps.get(ib).clone());
+            let y = tape.conv1d_rows(vx, vw, vb, spec);
+            let y2 = tape.mul(y, y);
+            tape.mean_all(y2)
+        },
+        EPS,
+        TOL,
+    );
+    if let Err(e) = res {
+        panic!("gradient mismatch: {e}");
+    }
 }
 
 /// Max pooling with clearly separated values so the argmax is stable under
@@ -277,6 +326,49 @@ fn grad_sort_pool_stable_order() {
     // k > N exercises zero padding.
     check1(x, |t, v| {
         let p = t.sort_pool(v, 6);
+        let p2 = t.mul(p, p);
+        t.mean_all(p2)
+    });
+}
+
+/// Block sort pooling. Well-separated keys with an order-sensitive loss
+/// check that each kept row lands in its slot, over a block shorter than
+/// `k` (padding) and one longer (truncation). Tied last-channel keys,
+/// broken by earlier channels, then check that each kept row's gradient
+/// reaches its own source row once; a perturbation reorders tied rows, so
+/// that loss is a sum of squares, which no reordering of kept rows moves.
+#[test]
+fn grad_sort_pool_blocks() {
+    // Block 0 (rows 0..3) is padded to k = 4; block 1 (rows 3..8) drops
+    // its lowest row.
+    let blocks = [0..3, 3..8];
+    let distinct = Matrix::from_vec(
+        8,
+        2,
+        vec![
+            0.3, 1.0, -0.6, 3.0, 0.8, 2.0, // block 0
+            0.5, -2.0, -0.1, 4.0, 0.9, 1.0, 0.2, 2.5, -0.7, 0.0, // block 1
+        ],
+    );
+    let slot_weights = Matrix::from_fn(2, 8, |r, c| ((r * 8 + c) as f32 * 0.7).sin());
+    check1(distinct, move |t, v| {
+        let p = t.sort_pool_blocks(v, &blocks, 4); // [2, 8]
+        let sw = t.leaf(slot_weights.clone());
+        let weighted = t.mul(p, sw);
+        let a = t.tanh(weighted);
+        let a2 = t.mul(a, a);
+        t.mean_all(a2)
+    });
+    let tied = Matrix::from_vec(
+        8,
+        2,
+        vec![
+            0.9, 1.0, -0.4, 1.0, 0.6, 3.0, // block 0: rows 0 and 1 tie
+            0.7, 2.0, -0.5, 2.0, 0.1, 2.0, 0.4, 4.0, -0.3, -1.0, // block 1: three-way tie
+        ],
+    );
+    check1(tied, |t, v| {
+        let p = t.sort_pool_blocks(v, &[0..3, 3..8], 4);
         let p2 = t.mul(p, p);
         t.mean_all(p2)
     });
