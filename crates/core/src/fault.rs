@@ -194,11 +194,6 @@ impl FaultInjector {
         self.plan.corrupt_checkpoint_epochs.contains(&epoch)
     }
 
-    /// Number of durable writes observed so far.
-    pub fn disk_saves(&self) -> u64 {
-        self.saves.load(Ordering::Relaxed)
-    }
-
     /// Decide the durability fault (if any) for the next durable write and
     /// advance the save counter. Wired through the disk checkpoint path
     /// (`am_dgcnn::checkpoint`, `amdgcnn_serve::save_model_file`), so every
@@ -765,6 +760,5 @@ mod tests {
         assert_eq!(inj.next_disk_fault(), Some(DiskFault::BitFlip));
         assert_eq!(inj.next_disk_fault(), Some(DiskFault::PartialFlush));
         assert_eq!(inj.next_disk_fault(), None);
-        assert_eq!(inj.disk_saves(), 5);
     }
 }

@@ -1,54 +1,45 @@
 //! SEAL node-attribute matrix construction (paper §III-B).
 //!
 //! The node attribute vector concatenates (i) a one-hot encoding of the
-//! node type and (ii) a one-hot encoding of the (capped) DRNL label.
-//! node2vec embeddings are supported as an optional third block — the paper
-//! found they did not help on knowledge graphs and disabled them, which is
-//! also our default.
+//! node type and (ii) a one-hot encoding of the (capped) DRNL label. This
+//! is SEAL's node-information matrix without its optional embedding block:
+//! the paper leaves learned node embeddings out on knowledge graphs, and so
+//! does this reproduction.
 
-use amdgcnn_graph::node2vec::NodeEmbeddings;
 use amdgcnn_graph::EnclosingSubgraph;
 use amdgcnn_tensor::Matrix;
-use std::sync::Arc;
 
-/// Feature-construction settings.
-#[derive(Debug, Clone)]
+/// Feature-construction settings. Model artifacts embed them as-is.
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct FeatureConfig {
     /// Node-type count of the parent graph (one-hot width).
     pub num_node_types: usize,
     /// DRNL labels above this value are clamped to it; the one-hot block
     /// has width `max_drnl + 1` (label 0 = unreachable).
     pub max_drnl: u32,
-    /// Optional node2vec table indexed by *original* node ids.
-    pub node2vec: Option<Arc<NodeEmbeddings>>,
 }
 
 impl FeatureConfig {
     /// Default features for a graph with the given node-type count: type
     /// one-hot plus DRNL one-hot capped at 12 (covers all labels reachable
-    /// with 2-hop subgraphs), no node2vec.
+    /// with 2-hop subgraphs).
     pub fn for_graph(num_node_types: usize) -> Self {
         Self {
             num_node_types,
             max_drnl: 12,
-            node2vec: None,
         }
     }
 
     /// Width of the produced feature vectors.
     pub fn dim(&self) -> usize {
-        self.num_node_types
-            + (self.max_drnl as usize + 1)
-            + self.node2vec.as_ref().map_or(0, |e| e.dims)
+        self.num_node_types + (self.max_drnl as usize + 1)
     }
 }
 
 /// Build the `[N, dim]` node attribute matrix for a subgraph.
 pub fn build_node_features(sub: &EnclosingSubgraph, cfg: &FeatureConfig) -> Matrix {
     let n = sub.num_nodes();
-    let dim = cfg.dim();
-    let drnl_width = cfg.max_drnl as usize + 1;
-    let mut out = Matrix::zeros(n, dim);
+    let mut out = Matrix::zeros(n, cfg.dim());
     for i in 0..n {
         let row = out.row_mut(i);
         let t = sub.node_types[i] as usize;
@@ -59,10 +50,6 @@ pub fn build_node_features(sub: &EnclosingSubgraph, cfg: &FeatureConfig) -> Matr
         row[t] = 1.0;
         let label = sub.drnl[i].min(cfg.max_drnl) as usize;
         row[cfg.num_node_types + label] = 1.0;
-        if let Some(emb) = &cfg.node2vec {
-            let vec = emb.get(sub.nodes[i]);
-            row[cfg.num_node_types + drnl_width..].copy_from_slice(vec);
-        }
     }
     out
 }
@@ -128,7 +115,6 @@ mod tests {
         let cfg = FeatureConfig {
             num_node_types: 3,
             max_drnl: 1,
-            node2vec: None,
         };
         let sub = sample_subgraph();
         // Labels above the cap (targets are 1, the path node gets label 2+)

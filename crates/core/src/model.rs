@@ -409,16 +409,6 @@ impl DgcnnModel {
 }
 
 impl LinkModel for DgcnnModel {
-    fn forward_sample(
-        &self,
-        tape: &mut Tape,
-        ps: &ParamStore,
-        sample: &PreparedSample,
-        dropout_rng: Option<&mut StdRng>,
-    ) -> Var {
-        self.forward(tape, ps, sample, dropout_rng)
-    }
-
     fn forward_batch(
         &self,
         tape: &mut Tape,
@@ -650,8 +640,6 @@ mod tests {
         };
         // 3 hidden layers x 32 x 2 heads + 1 sort channel.
         assert_eq!(cfg.total_channels(), 3 * 64 + 1);
-        let m = Matrix::zeros(1, 1);
-        let _ = m; // silence unused warnings in some toolchains
     }
 
     #[test]

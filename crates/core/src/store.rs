@@ -74,8 +74,8 @@ pub struct StoreKey {
     /// types, edge-attribute table, class count, train/test link lists,
     /// and the subgraph-extraction settings.
     pub dataset_digest: u64,
-    /// Digest of the [`FeatureConfig`] (node-type width, DRNL cap,
-    /// node2vec dimensionality) plus the resulting feature width.
+    /// Digest of the [`FeatureConfig`] (node-type width, DRNL cap) plus the
+    /// resulting feature width.
     pub feature_fingerprint: u64,
     /// Generation counter of a live-mutable graph (0 for static datasets).
     /// Rolling the generation invalidates the store even when digests
@@ -118,10 +118,8 @@ impl StoreKey {
         let mut fcrc = 0xFFFF_FFFFu32;
         fcrc = crc32_update(fcrc, &(fcfg.num_node_types as u64).to_le_bytes());
         fcrc = crc32_update(fcrc, &fcfg.max_drnl.to_le_bytes());
-        fcrc = crc32_update(
-            fcrc,
-            &(fcfg.node2vec.as_ref().map_or(u64::MAX, |e| e.dims as u64)).to_le_bytes(),
-        );
+        // Former embedding-width slot, always "no table": older stores keep their key.
+        fcrc = crc32_update(fcrc, &u64::MAX.to_le_bytes());
         let feature_fingerprint = ((fcfg.dim() as u64) << 32) | (fcrc ^ 0xFFFF_FFFF) as u64;
 
         Self {
@@ -554,6 +552,15 @@ mod tests {
             base.dataset_digest,
             StoreKey::for_dataset(&other_ds, &fcfg, 0).dataset_digest
         );
+    }
+
+    #[test]
+    fn feature_fingerprint_keeps_the_value_older_stores_carry() {
+        // The value stores written with the embedding-width slot carry for
+        // one node type and the default DRNL cap (feature width 14).
+        let ds = wn18_like(&Wn18Config::tiny());
+        let key = StoreKey::for_dataset(&ds, &FeatureConfig::for_graph(1), 0);
+        assert_eq!(key.feature_fingerprint, 0x0000_000e_2bde_ed3f);
     }
 
     #[test]

@@ -19,42 +19,21 @@ use rayon::prelude::*;
 use std::sync::Arc;
 
 /// A subgraph-level link classifier the trainer can drive: anything that
-/// maps a [`PreparedSample`] to `[1, num_classes]` logits on a tape.
-/// Implemented by [`crate::model::DgcnnModel`] (both GNN variants) and
+/// maps a minibatch of [`PreparedSample`]s to one `[1, num_classes]`
+/// logit row per sample on a tape. Implemented by
+/// [`crate::model::DgcnnModel`] (both GNN variants) and
 /// [`crate::wlnm::WlnmModel`] (the §VI-B baseline).
 pub trait LinkModel: Sync {
-    /// Forward pass producing `[1, num_classes]` logits. `dropout_rng`
-    /// enables training-mode stochastic regularization.
-    fn forward_sample(
-        &self,
-        tape: &mut Tape,
-        ps: &ParamStore,
-        sample: &PreparedSample,
-        dropout_rng: Option<&mut StdRng>,
-    ) -> Var;
-
     /// Forward a whole minibatch on one tape, returning one logits `Var`
     /// per sample in order. `dropout_rngs`, when given, holds one RNG per
-    /// sample. The default runs [`forward_sample`](Self::forward_sample)
-    /// per sample; [`crate::model::DgcnnModel`] overrides it with a
-    /// block-diagonal packed forward that runs the message passing as a
-    /// few large sparse kernels.
+    /// sample and enables training-mode dropout; `None` runs inference.
     fn forward_batch(
         &self,
         tape: &mut Tape,
         ps: &ParamStore,
         samples: &[&PreparedSample],
-        mut dropout_rngs: Option<&mut [StdRng]>,
-    ) -> Vec<Var> {
-        samples
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let rng = dropout_rngs.as_mut().map(|r| &mut r[i]);
-                self.forward_sample(tape, ps, s, rng)
-            })
-            .collect()
-    }
+        dropout_rngs: Option<&mut [StdRng]>,
+    ) -> Vec<Var>;
 
     /// Number of output classes.
     fn num_classes(&self) -> usize;
@@ -577,62 +556,6 @@ mod tests {
             "loss history must be reproducible under parallelism"
         );
         assert_eq!(p1, p2, "predictions must be reproducible");
-    }
-
-    /// [`DgcnnModel`] with only [`LinkModel::forward_sample`], so training
-    /// runs the trait's default per-sample `forward_batch` (the path
-    /// [`crate::wlnm::WlnmModel`] trains through).
-    struct PerSample(DgcnnModel);
-
-    impl LinkModel for PerSample {
-        fn forward_sample(
-            &self,
-            tape: &mut Tape,
-            ps: &ParamStore,
-            sample: &PreparedSample,
-            dropout_rng: Option<&mut StdRng>,
-        ) -> Var {
-            self.0.forward_sample(tape, ps, sample, dropout_rng)
-        }
-
-        fn num_classes(&self) -> usize {
-            self.0.num_classes()
-        }
-    }
-
-    #[test]
-    fn packed_and_per_sample_forward_batch_train_alike() {
-        // Same weights, seed and data order. Gradients are only
-        // tolerance-equal (the packed backward sums per-sample terms in a
-        // different order) and SortPool's row selection amplifies 1-ulp
-        // weight drift, so later epochs get a looser bound than epoch 1.
-        for gnn in [GnnKind::Gcn, GnnKind::am_dgcnn()] {
-            let losses = |per_sample: bool| {
-                let (model, mut ps, samples) = tiny_setup(gnn);
-                let mut trainer = Trainer::new(TrainConfig {
-                    lr: 5e-3,
-                    seed: 17,
-                    ..Default::default()
-                });
-                if per_sample {
-                    trainer.train(&PerSample(model), &mut ps, &samples, 3)
-                } else {
-                    trainer.train(&model, &mut ps, &samples, 3)
-                }
-                .expect("train");
-                trainer.history.iter().map(|e| e.loss).collect::<Vec<_>>()
-            };
-            let (packed, per_sample) = (losses(false), losses(true));
-            assert_eq!(packed.len(), 3);
-            for (i, (a, b)) in packed.iter().zip(&per_sample).enumerate() {
-                let bound = if i == 0 { 2e-3 } else { 0.2 };
-                assert!(
-                    (a - b).abs() < bound,
-                    "{gnn:?} epoch {}: packed loss {a} vs per-sample {b} (bound {bound})",
-                    i + 1
-                );
-            }
-        }
     }
 
     #[test]

@@ -18,6 +18,7 @@ use amdgcnn_graph::GraphBuilder;
 use amdgcnn_nn::{Activation, Mlp};
 use amdgcnn_tensor::{Matrix, ParamStore, Tape, Var};
 use rand::rngs::StdRng;
+use std::sync::Arc;
 
 /// WLNM hyperparameters.
 #[derive(Debug, Clone, Copy)]
@@ -133,16 +134,24 @@ impl WlnmModel {
 }
 
 impl LinkModel for WlnmModel {
-    fn forward_sample(
+    /// Encodes the `B` samples as one `[B, input_dim]` leaf and runs the
+    /// MLP once over it. Every MLP kernel computes a row from that row
+    /// alone, and row `b`'s dropout masks come from `dropout_rngs[b]`, so
+    /// each sample's logits equal those of a batch of one bit for bit.
+    fn forward_batch(
         &self,
         tape: &mut Tape,
         ps: &ParamStore,
-        sample: &PreparedSample,
-        dropout_rng: Option<&mut StdRng>,
-    ) -> Var {
-        let x = tape.leaf(self.encode(sample));
-        self.mlp
-            .forward(tape, ps, x, dropout_rng.map(std::slice::from_mut))
+        samples: &[&PreparedSample],
+        dropout_rngs: Option<&mut [StdRng]>,
+    ) -> Vec<Var> {
+        let rows: Vec<Matrix> = samples.iter().map(|s| self.encode(s)).collect();
+        let refs: Vec<&Matrix> = rows.iter().collect();
+        let x = tape.leaf(Matrix::concat_rows(&refs));
+        let logits = self.mlp.forward(tape, ps, x, dropout_rngs);
+        (0..samples.len())
+            .map(|b| tape.gather_rows(logits, Arc::new(vec![b])))
+            .collect()
     }
 
     fn num_classes(&self) -> usize {
@@ -224,13 +233,37 @@ mod tests {
     }
 
     #[test]
-    fn forward_is_deterministic_in_inference() {
+    fn forward_batch_equals_batches_of_one() {
         let (model, ps, train, _) = setup();
-        let run = || {
+        let samples: Vec<&PreparedSample> = train.iter().take(6).collect();
+        let logits = |batch: &[&PreparedSample], rngs: Option<&mut [StdRng]>| {
             let mut tape = Tape::new();
-            let v = model.forward_sample(&mut tape, &ps, &train[0], None);
-            tape.value(v).clone()
+            let vars = model.forward_batch(&mut tape, &ps, batch, rngs);
+            vars.iter()
+                .map(|&v| tape.value(v).clone())
+                .collect::<Vec<_>>()
         };
-        assert_eq!(run(), run());
+        let rngs = || -> Vec<StdRng> { (0..6).map(|i| StdRng::seed_from_u64(90 + i)).collect() };
+        let (mut batch_rngs, mut single_rngs) = (rngs(), rngs());
+        for dropout in [false, true] {
+            let batched = logits(&samples, dropout.then_some(&mut batch_rngs[..]));
+            assert_eq!(batched.len(), 6);
+            for (b, row) in batched.iter().enumerate() {
+                let rng = dropout.then_some(&mut single_rngs[b..b + 1]);
+                let alone = logits(&samples[b..b + 1], rng);
+                assert_eq!(row.shape(), (1, model.cfg.num_classes));
+                let (row, alone) = (row.data(), alone[0].data());
+                let same = row
+                    .iter()
+                    .zip(alone)
+                    .all(|(x, y)| x.to_bits() == y.to_bits());
+                assert!(same, "dropout {dropout}, sample {b}: {row:?} vs {alone:?}");
+            }
+        }
+        // Dropout must have changed something, or the second pass proved
+        // nothing about the per-row streams.
+        let plain = logits(&samples, None);
+        let dropped = logits(&samples, Some(&mut rngs()[..]));
+        assert_ne!(plain, dropped, "dropout left every logit unchanged");
     }
 }

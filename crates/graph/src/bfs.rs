@@ -34,41 +34,6 @@ pub fn bfs_distances_bounded(g: &KnowledgeGraph, source: u32, max_depth: u32) ->
     dist
 }
 
-/// Hop distances from `source` while ignoring every edge whose id is in
-/// `skip_edges` (used to hide the target link during subgraph labeling).
-pub fn bfs_distances_skipping(
-    g: &KnowledgeGraph,
-    source: u32,
-    skip_edges: &[u32],
-    max_depth: u32,
-) -> Vec<u32> {
-    let mut dist = vec![UNREACHABLE; g.num_nodes()];
-    dist[source as usize] = 0;
-    let mut queue = VecDeque::new();
-    queue.push_back(source);
-    while let Some(u) = queue.pop_front() {
-        let du = dist[u as usize];
-        if du >= max_depth {
-            continue;
-        }
-        for &(v, eid) in g.neighbors(u) {
-            if skip_edges.contains(&eid) {
-                continue;
-            }
-            if dist[v as usize] == UNREACHABLE {
-                dist[v as usize] = du + 1;
-                queue.push_back(v);
-            }
-        }
-    }
-    dist
-}
-
-/// Shortest hop distance between two nodes (`UNREACHABLE` when disconnected).
-pub fn shortest_path_len(g: &KnowledgeGraph, u: u32, v: u32) -> u32 {
-    bfs_distances(g, u)[v as usize]
-}
-
 /// Connected-component id per node, numbered in order of first discovery.
 pub fn connected_components(g: &KnowledgeGraph) -> Vec<u32> {
     let mut comp = vec![u32::MAX; g.num_nodes()];
@@ -91,15 +56,6 @@ pub fn connected_components(g: &KnowledgeGraph) -> Vec<u32> {
         next += 1;
     }
     comp
-}
-
-/// Number of connected components.
-pub fn num_components(g: &KnowledgeGraph) -> usize {
-    connected_components(g)
-        .iter()
-        .copied()
-        .max()
-        .map_or(0, |m| m as usize + 1)
 }
 
 #[cfg(test)]
@@ -132,55 +88,17 @@ mod tests {
     }
 
     #[test]
-    fn skipping_edges_reroutes() {
-        // Cycle 0-1-2-3-0: removing edge (0,1) makes d(0,1) = 3.
-        let mut b = GraphBuilder::new(4);
-        let e01 = b.add_edge(0, 1, 0);
-        b.add_edge(1, 2, 0);
-        b.add_edge(2, 3, 0);
-        b.add_edge(3, 0, 0);
-        let g = b.build();
-        assert_eq!(bfs_distances(&g, 0)[1], 1);
-        let d = bfs_distances_skipping(&g, 0, &[e01], u32::MAX);
-        assert_eq!(d[1], 3);
-        assert_eq!(d[3], 1);
-    }
-
-    #[test]
-    fn skipping_respects_parallel_edges() {
-        // Two parallel edges between 0 and 1: skipping only one leaves the
-        // pair adjacent.
-        let mut b = GraphBuilder::new(2);
-        let e0 = b.add_edge(0, 1, 0);
-        b.add_edge(0, 1, 1);
-        let g = b.build();
-        let d = bfs_distances_skipping(&g, 0, &[e0], u32::MAX);
-        assert_eq!(d[1], 1);
-        let both = bfs_distances_skipping(&g, 0, &[e0, 1], u32::MAX);
-        assert_eq!(both[1], UNREACHABLE);
-    }
-
-    #[test]
-    fn shortest_path_between_pairs() {
-        let g = path_plus_isolate();
-        assert_eq!(shortest_path_len(&g, 0, 3), 3);
-        assert_eq!(shortest_path_len(&g, 2, 2), 0);
-        assert_eq!(shortest_path_len(&g, 0, 4), UNREACHABLE);
-    }
-
-    #[test]
     fn components() {
         let g = path_plus_isolate();
         let c = connected_components(&g);
         assert_eq!(c[0], c[3]);
         assert_ne!(c[0], c[4]);
-        assert_eq!(num_components(&g), 2);
     }
 
     #[test]
     fn bfs_on_empty_graph() {
         let g = KnowledgeGraph::from_edges(1, &[]);
         assert_eq!(bfs_distances(&g, 0), vec![0]);
-        assert_eq!(num_components(&g), 1);
+        assert_eq!(connected_components(&g), vec![0]);
     }
 }

@@ -43,18 +43,6 @@ pub fn drnl_labels(dist_a: &[u32], dist_b: &[u32]) -> Vec<u32> {
         .collect()
 }
 
-/// Largest label achievable when both distances are at most `max_hops`
-/// (useful for sizing one-hot encodings).
-pub fn max_drnl_label(max_hops: u32) -> u32 {
-    let mut best = 1;
-    for x in 1..=max_hops {
-        for y in 1..=max_hops {
-            best = best.max(drnl_label(x, y));
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,18 +97,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn max_label_bounds_observed_labels() {
-        let m = max_drnl_label(5);
-        for x in 1..=5u32 {
-            for y in 1..=5u32 {
-                assert!(drnl_label(x, y) <= m);
-            }
-        }
-        // And the bound is attained.
-        assert_eq!(max_drnl_label(1), drnl_label(1, 1));
     }
 
     #[test]

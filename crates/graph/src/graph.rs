@@ -362,24 +362,6 @@ impl KnowledgeGraph {
             self.neigh.len() as f64 / self.num_nodes() as f64
         }
     }
-
-    /// Count of nodes per node type.
-    pub fn node_type_histogram(&self) -> Vec<usize> {
-        let mut hist = vec![0usize; self.num_node_types()];
-        for &t in &self.node_types {
-            hist[t as usize] += 1;
-        }
-        hist
-    }
-
-    /// Count of edges per edge type.
-    pub fn edge_type_histogram(&self) -> Vec<usize> {
-        let mut hist = vec![0usize; self.num_edge_types()];
-        for e in &self.edges {
-            hist[e.etype as usize] += 1;
-        }
-        hist
-    }
 }
 
 #[cfg(test)]
@@ -454,13 +436,6 @@ mod tests {
         assert_eq!(g.degree(1), 1);
         let ids: Vec<u32> = g.neighbor_ids(0).collect();
         assert_eq!(ids, vec![0, 1]);
-    }
-
-    #[test]
-    fn histograms() {
-        let g = triangle();
-        assert_eq!(g.node_type_histogram(), vec![1, 2]);
-        assert_eq!(g.edge_type_histogram(), vec![1, 1, 1]);
     }
 
     #[test]

@@ -59,23 +59,6 @@ pub fn katz_score(g: &KnowledgeGraph, u: u32, v: u32, cfg: &KatzConfig) -> f64 {
     score
 }
 
-/// Katz centrality vector (truncated): `c = Σ_l β^l (Aᵀ)^l 1`.
-pub fn katz_centrality(g: &KnowledgeGraph, cfg: &KatzConfig) -> Vec<f64> {
-    let n = g.num_nodes();
-    let a = adjacency(g);
-    let mut walks = vec![1.0f64; n];
-    let mut centrality = vec![0.0f64; n];
-    let mut beta_pow = 1.0;
-    for _ in 1..=cfg.max_len {
-        beta_pow *= cfg.beta;
-        walks = a.spmv_f64(&walks);
-        for i in 0..n {
-            centrality[i] += beta_pow * walks[i];
-        }
-    }
-    centrality
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,19 +112,6 @@ mod tests {
         let cfg = KatzConfig::default();
         for (u, v) in [(0u32, 2u32), (1, 3), (0, 4)] {
             assert!((katz_score(&g, u, v, &cfg) - katz_score(&g, v, u, &cfg)).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn centrality_favors_hubs() {
-        let mut b = crate::graph::GraphBuilder::new(5);
-        for leaf in 1..5 {
-            b.add_edge(0, leaf, 0);
-        }
-        let g = b.build();
-        let c = katz_centrality(&g, &KatzConfig::default());
-        for leaf in 1..5 {
-            assert!(c[0] > c[leaf]);
         }
     }
 }

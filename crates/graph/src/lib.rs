@@ -4,8 +4,9 @@
 //! multigraphs, BFS traversals, SEAL enclosing-subgraph extraction with
 //! Double-Radius Node Labeling, classical link-prediction heuristics
 //! (common neighbors, Jaccard, Adamic-Adar, resource allocation,
-//! preferential attachment, Katz, personalized PageRank), and node2vec
-//! embeddings.
+//! preferential attachment, Katz, personalized PageRank), WL vertex
+//! ordering for the WLNM baseline, and the live-mutable graph with its
+//! write-ahead log.
 //!
 //! # Example: extract and label an enclosing subgraph
 //!
@@ -38,9 +39,7 @@ pub mod katz;
 pub mod khop;
 mod marks;
 pub mod mutable;
-pub mod node2vec;
 pub mod pagerank;
-pub mod walks;
 pub mod wl;
 
 pub use bfs::UNREACHABLE;

@@ -359,11 +359,6 @@ impl MutableGraph {
         self.live_edges
     }
 
-    /// Stable edge ids ever allocated (live + tombstoned).
-    pub fn num_edge_slots(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Content digest of the current snapshot (see [`graph_digest`]).
     pub fn digest(&self) -> u32 {
         graph_digest(&self.snapshot)
@@ -669,7 +664,6 @@ mod tests {
         g.apply(&[GraphMutation::RetireEdge { edge: 1 }])
             .expect("retire");
         assert_eq!(g.num_live_edges(), 3);
-        assert_eq!(g.num_edge_slots(), 4);
         assert!(!g.snapshot().has_edge(1, 2));
         // Stable ids survive: edge 3 still names the 1-3 chord, and a
         // second retire of it works even after the earlier retirement.

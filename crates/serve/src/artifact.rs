@@ -36,31 +36,6 @@ const VERSION: u32 = 3;
 /// bytes, so anything above this is a corrupt file, not a big model.
 const MAX_META_LEN: usize = 1 << 20;
 
-/// Serializable image of a [`FeatureConfig`].
-///
-/// node2vec tables are deliberately not representable: the paper disables
-/// them for knowledge graphs and they live outside the parameter store, so
-/// an artifact claiming to need them could not be honored. [`save_model`]
-/// rejects such configs instead of silently dropping the table.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct FeatureMeta {
-    /// Node-type one-hot width.
-    pub num_node_types: usize,
-    /// DRNL label cap.
-    pub max_drnl: u32,
-}
-
-impl FeatureMeta {
-    /// Rebuild the runtime config (never carries node2vec).
-    pub fn to_config(&self) -> FeatureConfig {
-        FeatureConfig {
-            num_node_types: self.num_node_types,
-            max_drnl: self.max_drnl,
-            node2vec: None,
-        }
-    }
-}
-
 /// Everything about a trained model except the parameter values.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ArtifactMeta {
@@ -70,37 +45,25 @@ pub struct ArtifactMeta {
     /// Full model architecture (embeds the `GnnKind`).
     pub model: ModelConfig,
     /// Feature-construction settings used at training time.
-    pub features: FeatureMeta,
+    pub features: FeatureConfig,
     /// Epochs the checkpoint had completed, for provenance.
     pub epochs_trained: usize,
 }
 
 impl ArtifactMeta {
     /// Describe a trained model: its config plus the dataset/features it
-    /// was trained against.
-    ///
-    /// # Errors
-    /// `InvalidInput` when `features` carries a node2vec table — see
-    /// [`FeatureMeta`].
+    /// was trained against. Never fails; the `Result` is kept for existing
+    /// callers.
     pub fn describe(
         ds: &Dataset,
         model_cfg: &ModelConfig,
         features: &FeatureConfig,
         epochs_trained: usize,
     ) -> io::Result<Self> {
-        if features.node2vec.is_some() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "node2vec embeddings cannot be embedded in a model artifact",
-            ));
-        }
         Ok(Self {
             dataset: ds.name.to_string(),
             model: model_cfg.clone(),
-            features: FeatureMeta {
-                num_node_types: features.num_node_types,
-                max_drnl: features.max_drnl,
-            },
+            features: features.clone(),
             epochs_trained,
         })
     }
@@ -191,10 +154,7 @@ mod tests {
         ArtifactMeta {
             dataset: "wn18-like".to_string(),
             model: ModelConfig::dgcnn_defaults(GnnKind::am_dgcnn(), 16, 18, 18),
-            features: FeatureMeta {
-                num_node_types: 3,
-                max_drnl: 12,
-            },
+            features: FeatureConfig::for_graph(3),
             epochs_trained: 7,
         }
     }
@@ -293,21 +253,29 @@ mod tests {
     }
 
     #[test]
-    fn node2vec_configs_are_rejected_at_save_time() {
-        use amdgcnn_graph::node2vec::{node2vec_embeddings, Node2VecConfig};
-        use std::sync::Arc;
-        let ds = amdgcnn_data::wn18_like(&amdgcnn_data::Wn18Config {
-            num_nodes: 40,
-            num_edges: 120,
-            train_links: 10,
-            test_links: 5,
-            ..Default::default()
-        });
-        let mut fcfg = FeatureConfig::for_graph(ds.graph.num_node_types());
-        let emb = node2vec_embeddings(&ds.graph, &Node2VecConfig::default());
-        fcfg.node2vec = Some(Arc::new(emb));
-        let cfg = ModelConfig::dgcnn_defaults(GnnKind::am_dgcnn(), 16, 18, 18);
-        let err = ArtifactMeta::describe(&ds, &cfg, &fcfg, 1).expect_err("must fail");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+    fn features_serialize_as_the_two_config_fields() {
+        let json = serde_json::to_string(&sample_meta()).expect("serialize");
+        assert!(
+            json.contains(r#""features":{"num_node_types":3,"max_drnl":12},"#),
+            "{json}"
+        );
+    }
+
+    #[test]
+    fn metadata_of_the_separate_feature_struct_layout_still_reads() {
+        // Metadata section of an AMDM file written while the artifact kept
+        // its own copy of the feature fields: same names, same order.
+        let old = concat!(
+            r#"{"dataset":"wn18-like","model":{"gnn":{"Gat":{"edge_attrs":true,"heads":1}},"#,
+            r#""node_feat_dim":14,"edge_attr_dim":18,"hidden_dim":32,"num_layers":3,"#,
+            r#""sort_k":30,"conv1_channels":16,"conv2_channels":32,"conv2_kernel":5,"#,
+            r#""dense_dim":128,"dropout":0.5,"num_classes":18,"num_relations":18},"#,
+            r#""features":{"num_node_types":1,"max_drnl":12},"epochs_trained":3}"#
+        );
+        let meta: ArtifactMeta = serde_json::from_str(old).expect("old metadata must load");
+        assert_eq!(meta.features, FeatureConfig::for_graph(1));
+        assert_eq!(meta.epochs_trained, 3);
+        let again = serde_json::to_string(&meta).expect("serialize");
+        assert_eq!(again, old, "re-saving must keep the metadata bytes");
     }
 }

@@ -7,7 +7,7 @@
 use crate::artifact::{instantiate, load_model, ArtifactMeta};
 use crate::stats::ServeCounters;
 use am_dgcnn::fault::{EngineFault, FaultInjector, TransientFault};
-use am_dgcnn::{prepare_sample, DgcnnModel, FeatureConfig, LinkModel, PreparedSample};
+use am_dgcnn::{prepare_sample, DgcnnModel, LinkModel, PreparedSample};
 use amdgcnn_data::{Dataset, LabeledLink};
 use amdgcnn_graph::AffectedRegion;
 use amdgcnn_tensor::{ParamStore, Tape};
@@ -119,7 +119,6 @@ pub struct InferenceEngine {
     model: DgcnnModel,
     ps: ParamStore,
     ds: Dataset,
-    fcfg: FeatureConfig,
     cache: Mutex<LruCache>,
     injector: Option<Arc<FaultInjector>>,
     /// Graph generation this engine's dataset snapshot belongs to. Cache
@@ -168,13 +167,11 @@ impl InferenceEngine {
             ));
         }
         let (model, ps) = instantiate(&meta, loaded)?;
-        let fcfg = meta.features.to_config();
         Ok(Self {
             meta,
             model,
             ps,
             ds,
-            fcfg,
             cache: Mutex::new(LruCache::new(cache_capacity)),
             injector: None,
             generation: 0,
@@ -392,7 +389,7 @@ impl InferenceEngine {
                         class: 0,
                     };
                     Arc::new(CacheEntry {
-                        sample: prepare_sample(&self.ds, &link, &self.fcfg),
+                        sample: prepare_sample(&self.ds, &link, &self.meta.features),
                         probs: OnceLock::new(),
                     })
                 })

@@ -138,7 +138,6 @@ mod stats;
 
 pub use artifact::{
     instantiate, load_model, load_model_file, save_model, save_model_file, ArtifactMeta,
-    FeatureMeta,
 };
 pub use engine::{ClassProbs, InferenceEngine, LinkQuery};
 pub use error::Error;

@@ -1,4 +1,4 @@
-//! Random matrix initialization (uniform / Gaussian / Xavier / Kaiming).
+//! Random matrix initialization (uniform / Gaussian / Xavier).
 //!
 //! All functions take an explicit [`StdRng`] so that every stochastic step in
 //! the workspace is reproducible from a single `u64` seed.
@@ -36,13 +36,6 @@ pub fn normal(rows: usize, cols: usize, mean: f32, std: f32, rng: &mut StdRng) -
 pub fn xavier_uniform(fan_in: usize, fan_out: usize, rng: &mut StdRng) -> Matrix {
     let limit = (6.0 / (fan_in + fan_out) as f32).sqrt();
     uniform(fan_in, fan_out, -limit, limit, rng)
-}
-
-/// Kaiming/He normal initialization for a `[fan_in, fan_out]` weight
-/// (suitable for ReLU-family activations).
-pub fn kaiming_normal(fan_in: usize, fan_out: usize, rng: &mut StdRng) -> Matrix {
-    let std = (2.0 / fan_in as f32).sqrt();
-    normal(fan_in, fan_out, 0.0, std, rng)
 }
 
 #[cfg(test)]
@@ -85,13 +78,5 @@ mod tests {
             normal(3, 3, 0.0, 1.0, &mut a),
             normal(3, 3, 0.0, 1.0, &mut b)
         );
-    }
-
-    #[test]
-    fn kaiming_std_tracks_fan_in() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let m = kaiming_normal(200, 50, &mut rng);
-        let var = m.map(|v| v * v).mean();
-        assert!((var - 2.0 / 200.0).abs() < 0.005, "var {var}");
     }
 }

@@ -1,8 +1,8 @@
 //! Small dense linear algebra used by the Gaussian-process surrogate in the
-//! hyperparameter tuner: Cholesky factorization, triangular solves, and
-//! SPD system solving. Sizes here are the number of evaluated
-//! hyperparameter configurations (tens), so these are straightforward
-//! O(n³) kernels with care for numerical robustness, not blocked BLAS.
+//! hyperparameter tuner: Cholesky factorization and triangular solves.
+//! Sizes here are the number of evaluated hyperparameter configurations
+//! (tens), so these are straightforward O(n³) kernels with care for
+//! numerical robustness, not blocked BLAS.
 
 use crate::matrix::Matrix;
 
@@ -98,20 +98,6 @@ pub fn solve_lower_transpose(l: &Matrix, b: &Matrix) -> Result<Matrix, LinalgErr
     Ok(x)
 }
 
-/// Solve the SPD system `A·x = b` via Cholesky.
-pub fn solve_spd(a: &Matrix, b: &Matrix) -> Result<Matrix, LinalgError> {
-    let l = cholesky(a)?;
-    let y = solve_lower(&l, b)?;
-    solve_lower_transpose(&l, &y)
-}
-
-/// Log-determinant of an SPD matrix via its Cholesky factor:
-/// `log|A| = 2·Σ log L_ii`.
-pub fn logdet_spd(a: &Matrix) -> Result<f32, LinalgError> {
-    let l = cholesky(a)?;
-    Ok(2.0 * (0..l.rows()).map(|i| l.get(i, i).ln()).sum::<f32>())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,24 +157,5 @@ mod tests {
         assert!(matmul(&l, &y).max_abs_diff(&b) < 1e-3);
         let z = solve_lower_transpose(&l, &b).expect("solve");
         assert!(matmul(&l.transpose(), &z).max_abs_diff(&b) < 1e-3);
-    }
-
-    #[test]
-    fn spd_solve_matches_direct() {
-        let a = random_spd(7, 21);
-        let x_true = Matrix::from_fn(7, 1, |r, _| (r as f32 - 3.0) * 0.5);
-        let b = matmul(&a, &x_true);
-        let x = solve_spd(&a, &b).expect("solve");
-        assert!(x.max_abs_diff(&x_true) < 1e-3);
-    }
-
-    #[test]
-    fn logdet_of_diagonal() {
-        let mut a = Matrix::eye(3);
-        a.set(0, 0, 2.0);
-        a.set(1, 1, 4.0);
-        a.set(2, 2, 0.5);
-        let expect = (2.0f32 * 4.0 * 0.5).ln();
-        assert!((logdet_spd(&a).expect("SPD") - expect).abs() < 1e-5);
     }
 }

@@ -1,9 +1,10 @@
 //! # amdgcnn-tune
 //!
 //! Hyperparameter optimization standing in for DeepHyper (§III-D): the
-//! Table I search space, random search, successive halving, and GP-based
-//! Bayesian optimization with Expected Improvement (the paper's Centralized
-//! Bayesian Optimization strategy).
+//! Table I search space, random search, and GP-based Bayesian optimization
+//! with Expected Improvement (the paper's Centralized Bayesian Optimization
+//! strategy). The crate is model-agnostic: a caller passes an objective
+//! over raw points, as `table1_autotune` does with its training trials.
 //!
 //! # Example: Bayesian optimization of a toy objective
 //!
@@ -22,9 +23,7 @@
 pub mod gp;
 pub mod search;
 pub mod space;
-pub mod sweep;
 
 pub use gp::{GaussianProcess, GpConfig, Posterior};
-pub use search::{bayes_opt, random_search, successive_halving, BayesConfig, SearchResult, Trial};
+pub use search::{bayes_opt, random_search, BayesConfig, SearchResult, Trial};
 pub use space::{ParamSpec, SearchSpace};
-pub use sweep::{hyperparams_at, sweep, SweepConfig};

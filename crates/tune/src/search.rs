@@ -1,6 +1,6 @@
-//! Search strategies: random search, successive halving, and GP-based
-//! Bayesian optimization with Expected Improvement (the DeepHyper
-//! "Centralized Bayesian Optimization" analogue the paper uses, §III-D).
+//! Search strategies: random search and GP-based Bayesian optimization
+//! with Expected Improvement (the DeepHyper "Centralized Bayesian
+//! Optimization" analogue the paper uses, §III-D).
 
 use crate::gp::{expected_improvement, GaussianProcess, GpConfig};
 use crate::space::SearchSpace;
@@ -62,45 +62,6 @@ pub fn random_search(
         let value = objective(&point);
         history.push(Trial { point, value });
     }
-    SearchResult::from_history(history)
-}
-
-/// Successive halving: start `initial` random configurations at the lowest
-/// fidelity, keep the top half at each rung, doubling the fidelity, until
-/// one survives. `objective(point, fidelity)` is evaluated fresh per rung.
-pub fn successive_halving(
-    space: &SearchSpace,
-    mut objective: impl FnMut(&[f64], usize) -> f64,
-    initial: usize,
-    base_fidelity: usize,
-    seed: u64,
-) -> SearchResult {
-    assert!(initial >= 2, "successive_halving: need at least two arms");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut arms: Vec<Vec<f64>> = (0..initial).map(|_| space.sample(&mut rng)).collect();
-    let mut fidelity = base_fidelity.max(1);
-    let mut history = Vec::new();
-    while arms.len() > 1 {
-        let mut scored: Vec<Trial> = arms
-            .iter()
-            .map(|p| Trial {
-                point: p.clone(),
-                value: objective(p, fidelity),
-            })
-            .collect();
-        history.extend(scored.iter().cloned());
-        scored.sort_by(|a, b| b.value.partial_cmp(&a.value).expect("finite objective"));
-        let keep = scored.len().div_ceil(2);
-        arms = scored.into_iter().take(keep).map(|t| t.point).collect();
-        fidelity *= 2;
-    }
-    // Final evaluation of the survivor at the last fidelity.
-    let survivor = arms.pop().expect("one survivor");
-    let value = objective(&survivor, fidelity);
-    history.push(Trial {
-        point: survivor,
-        value,
-    });
     SearchResult::from_history(history)
 }
 
@@ -227,21 +188,6 @@ mod tests {
         assert_eq!(a.history.len(), 15);
         assert_eq!(a.best.point, b.best.point);
         assert_eq!(a.best.value, b.best.value);
-    }
-
-    #[test]
-    fn halving_keeps_the_strong_arm() {
-        let space = toy_space();
-        // Fidelity-dependent objective: value approaches the true objective
-        // as fidelity grows (noisy early rungs).
-        let obj = |p: &[f64], fid: usize| {
-            let noise = 0.3 / fid as f64 * ((p[1] as i64 % 7) as f64 - 3.0) / 3.0;
-            toy_objective(p) + noise
-        };
-        let res = successive_halving(&space, obj, 16, 1, 5);
-        assert!(res.best.value > 0.3, "best {}", res.best.value);
-        // History contains all rung evaluations: 16 + 8 + 4 + 2 + final 1.
-        assert_eq!(res.history.len(), 16 + 8 + 4 + 2 + 1);
     }
 
     #[test]
