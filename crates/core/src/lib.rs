@@ -32,10 +32,7 @@ pub mod wlnm;
 
 pub use checkpoint::{CheckpointDir, TrainState};
 pub use error::Error;
-pub use fault::{
-    EngineFault, FaultInjector, FaultPlan, FleetAction, FleetEvent, FleetInjector, FleetPlan,
-    MutationEvent, TransientFault,
-};
+pub use fault::{EngineFault, FaultInjector, FaultPlan, TransientFault};
 pub use features::FeatureConfig;
 pub use model::{DgcnnModel, GnnKind, ModelConfig};
 pub use pipeline::{

@@ -286,8 +286,7 @@ impl Timer {
 
     /// Plain-data copy of this timer's histogram (empty when disabled).
     /// Snapshots merge commutatively ([`HistogramSnapshot::merge`]), so
-    /// per-replica timers aggregate into fleet-level quantiles without
-    /// sharing a registry.
+    /// timers of separate registries aggregate into one set of quantiles.
     pub fn snapshot(&self) -> HistogramSnapshot {
         self.inner
             .as_ref()

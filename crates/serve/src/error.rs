@@ -28,13 +28,6 @@ pub enum Error {
         /// Retries attempted before giving up.
         retries: u32,
     },
-    /// No fleet replica could take the query: every slot was down,
-    /// draining, or refused admission. Only the fleet router produces
-    /// this; a single server reports the specific protection instead.
-    FleetUnavailable {
-        /// Replica attempts made before giving up (0 = nothing routable).
-        attempts: u32,
-    },
 }
 
 impl std::fmt::Display for Error {
@@ -56,9 +49,6 @@ impl std::fmt::Display for Error {
                 f,
                 "engine failed transiently and stayed failed through {retries} retries"
             ),
-            Error::FleetUnavailable { attempts } => {
-                write!(f, "no fleet replica available after {attempts} attempts")
-            }
         }
     }
 }
@@ -77,8 +67,5 @@ mod tests {
         assert!(Error::ServerShutdown.to_string().contains("shut down"));
         assert!(Error::WorkerPanicked.to_string().contains("panicked"));
         assert!(Error::EngineFault { retries: 2 }.to_string().contains('2'));
-        assert!(Error::FleetUnavailable { attempts: 3 }
-            .to_string()
-            .contains("no fleet replica"));
     }
 }

@@ -1,6 +1,6 @@
 //! Batched inference serving for AM-DGCNN link classification.
 //!
-//! Five layers, each usable on its own:
+//! Four layers, each usable on its own:
 //!
 //! 1. [`artifact`] — a versioned single-file model format bundling the
 //!    architecture ([`am_dgcnn::ModelConfig`] with its
@@ -22,13 +22,11 @@
 //!    batch must pass semantic validation and a read-back-verified WAL
 //!    append before a new snapshot generation becomes visible, so a
 //!    damaged write can never corrupt the served graph — and the WAL
-//!    always replays to a graph bit-identical to the live one.
-//! 5. [`fleet`] — a [`Fleet`] of `BatchServer` replicas behind a
-//!    consistent-hash router ([`ring`], [`health`]): automatic failover,
-//!    tail-latency hedging, live drain/respawn, graph-generation rolls
-//!    with incremental k-hop cache invalidation
-//!    ([`Fleet::roll_graph`]), and fleet-level health — every answer
-//!    bit-identical to a single server's, whichever replica computes it.
+//!    always replays to a graph bit-identical to the live one. A commit
+//!    rolls the server: a fresh engine on the new snapshot adopts the
+//!    old engine's cache minus the commit's k-hop region
+//!    ([`InferenceEngine::migrate_cache_from`]), a new `BatchServer`
+//!    starts on it, and the old one drains.
 //!
 //! The server layer is fault-tolerant: admission is gated by a bounded
 //! queue and a circuit breaker ([`RobustnessConfig`]), queued queries can
@@ -76,10 +74,9 @@
 //! The [`amdgcnn_obs`] registry is the only store of serving counters.
 //! An engine registers its `serve/*` handles in the [`Obs`] given to
 //! [`InferenceEngine::with_obs`] (a private registry otherwise), and a
-//! [`BatchServer`] counts into its engine's. A [`Fleet`] hands its own
-//! registry to every replica incarnation, so [`Fleet::obs`] sums the
-//! `serve/*` counters of all of them, crashed ones included, beside its
-//! own `fleet/*` counters. Read one with
+//! [`BatchServer`] counts into its engine's. Engines that share one
+//! registry sum into it, so handing the same [`Obs`] to every engine a
+//! graph roll builds counts the whole run across rolls. Read one with
 //! `engine.obs().counter("serve/queries").get()`, or take
 //! [`Obs::report`] for every counter, span and event at once. Rates are
 //! derived from the counters behind them: the LRU hit rate is
@@ -109,17 +106,6 @@
 //! | `serve/engine` (span) | one observation per answered batch: its engine time |
 //! | `serve/queue_wait` (span) | one observation per request: its time in the queue |
 //! | `serve/batch_assembly` (span) | one observation per batch: the oldest request's wait |
-//! | `fleet/queries` | queries submitted to the fleet |
-//! | `fleet/answered` | queries answered with probabilities |
-//! | `fleet/failed` | queries resolved with a typed error after every live replica was tried |
-//! | `fleet/failovers` | attempts that landed on a non-primary replica after a failure |
-//! | `fleet/hedges` | tail-latency backup submissions |
-//! | `fleet/hedge_wins` | hedges that answered before their primary |
-//! | `fleet/replica_crashes`, `fleet/replica_respawns`, `fleet/replica_drains` | replica lifecycle actions |
-//! | `fleet/redistributed` | queued requests a drain or a graph roll placed on a replica; those no replica could adopt fail with `FleetUnavailable` and are not counted |
-//! | `fleet/health_transitions` | fleet health state changes |
-//! | `fleet/graph_rolls` | graph-generation rolls completed |
-//! | `fleet/query` (span) | one observation per fleet query: its end-to-end time |
 //!
 //! [`Obs`]: amdgcnn_obs::Obs
 //! [`Obs::report`]: amdgcnn_obs::Obs::report
@@ -129,10 +115,7 @@
 pub mod artifact;
 pub mod engine;
 pub mod error;
-pub mod fleet;
 pub mod graph_store;
-pub mod health;
-pub mod ring;
 pub mod server;
 mod stats;
 
@@ -141,8 +124,5 @@ pub use artifact::{
 };
 pub use engine::{ClassProbs, InferenceEngine, LinkQuery};
 pub use error::Error;
-pub use fleet::{Fleet, FleetConfig};
 pub use graph_store::{GraphCommit, GraphStore, GraphStoreError};
-pub use health::{FleetHealth, ReplicaHealth};
-pub use ring::HashRing;
 pub use server::{BatchConfig, BatchServer, PendingQuery, RobustnessConfig};

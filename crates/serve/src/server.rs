@@ -86,19 +86,17 @@ impl Default for RobustnessConfig {
     }
 }
 
-/// One queued query with its reply channel. Crate-visible so the fleet
-/// router can move still-queued requests between replicas during a drain
-/// without breaking the caller's pending handle.
-pub(crate) struct Request {
-    pub(crate) query: LinkQuery,
-    pub(crate) reply: mpsc::Sender<Result<ClassProbs, Error>>,
+/// One queued query with its reply channel.
+struct Request {
+    query: LinkQuery,
+    reply: mpsc::Sender<Result<ClassProbs, Error>>,
     /// When the request entered the queue; the batch deadline is computed
     /// from the oldest of these, so time spent waiting behind a busy worker
     /// counts against `max_wait`.
-    pub(crate) enqueued: Instant,
+    enqueued: Instant,
     /// Absolute per-request deadline, if the caller set one. Checked while
     /// the request is queued; an expired request is failed in place.
-    pub(crate) deadline: Option<Instant>,
+    deadline: Option<Instant>,
 }
 
 #[derive(Default)]
@@ -167,10 +165,8 @@ impl PendingQuery {
 
     /// Wait up to `timeout` for the answer without consuming the handle:
     /// `Some(outcome)` once resolved, `None` if still pending (the query
-    /// keeps executing; wait again or race another replica against it —
-    /// this is the primitive the fleet's hedged retry is built on). A
-    /// server torn down before answering resolves to
-    /// [`Error::ServerShutdown`].
+    /// keeps executing; wait again later). A server torn down before
+    /// answering resolves to [`Error::ServerShutdown`].
     pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<ClassProbs, Error>> {
         match self.rx.recv_timeout(timeout) {
             Ok(outcome) => Some(outcome),
@@ -233,72 +229,58 @@ impl BatchServer {
         self.submit_inner(query, Some(Instant::now() + deadline))
     }
 
+    /// The one admission gate: the breaker, then shutdown, then queue
+    /// capacity. An admitted query is queued with its reply channel,
+    /// enqueue time and deadline; a shed one counts in
+    /// `serve/shed_degraded` or `serve/shed_overload`.
     fn submit_inner(
         &self,
         query: LinkQuery,
         deadline: Option<Instant>,
     ) -> Result<PendingQuery, Error> {
-        let (tx, rx) = mpsc::channel();
-        let req = Request {
-            query,
-            reply: tx,
-            enqueued: Instant::now(),
-            deadline,
-        };
-        self.admit(req).map_err(|(_, e)| {
-            let counters = &self.shared.engine.counters;
-            match e {
-                Error::Degraded => counters.shed_degraded.inc(),
-                Error::Overloaded { .. } => counters.shed_overload.inc(),
-                _ => {}
-            }
-            e
-        })?;
-        Ok(PendingQuery { rx })
-    }
-
-    /// The one admission gate, shared by [`submit`](Self::submit) and the
-    /// fleet's adoption of requests taken from a draining sibling: the
-    /// breaker, then shutdown, then queue capacity. An admitted request
-    /// is queued with its reply channel, enqueue time and deadline as
-    /// given. A refused one is handed back with the admission error,
-    /// uncounted, so the caller can count the shed or try another
-    /// replica.
-    pub(crate) fn admit(&self, req: Request) -> Result<(), (Request, Error)> {
+        let enqueued = Instant::now();
+        let counters = &self.shared.engine.counters;
         {
             let mut b = lock_breaker(&self.shared);
-            match b.state {
-                BreakerState::Closed => {}
-                BreakerState::Open { since } => {
-                    if since.elapsed() >= self.shared.robust.breaker_cooldown {
-                        // Cooldown served: admit this request as the probe.
-                        b.state = BreakerState::HalfOpen;
-                    } else {
-                        return Err((req, Error::Degraded));
-                    }
+            let shed = match b.state {
+                BreakerState::Closed => false,
+                BreakerState::Open { since }
+                    if since.elapsed() >= self.shared.robust.breaker_cooldown =>
+                {
+                    // Cooldown served: admit this request as the probe.
+                    b.state = BreakerState::HalfOpen;
+                    false
                 }
-                // A probe is already in flight; keep shedding until it
-                // resolves the breaker one way or the other.
-                BreakerState::HalfOpen => return Err((req, Error::Degraded)),
+                // Still cooling down, or a probe is already in flight:
+                // keep shedding until it resolves the breaker.
+                BreakerState::Open { .. } | BreakerState::HalfOpen => true,
+            };
+            if shed {
+                counters.shed_degraded.inc();
+                return Err(Error::Degraded);
             }
         }
+        let (tx, rx) = mpsc::channel();
         {
             let mut q = lock_queue(&self.shared);
             if q.shutdown {
-                return Err((req, Error::ServerShutdown));
+                return Err(Error::ServerShutdown);
             }
             if q.requests.len() >= self.shared.robust.queue_capacity {
-                return Err((
-                    req,
-                    Error::Overloaded {
-                        capacity: self.shared.robust.queue_capacity,
-                    },
-                ));
+                counters.shed_overload.inc();
+                return Err(Error::Overloaded {
+                    capacity: self.shared.robust.queue_capacity,
+                });
             }
-            q.requests.push_back(req);
+            q.requests.push_back(Request {
+                query,
+                reply: tx,
+                enqueued,
+                deadline,
+            });
         }
         self.shared.wakeup.notify_one();
-        Ok(())
+        Ok(PendingQuery { rx })
     }
 
     /// Convenience: submit every query, then wait for all outcomes (in
@@ -344,72 +326,6 @@ impl BatchServer {
     /// failed with a typed error) before the worker exits.
     pub fn shutdown(mut self) {
         self.shutdown_inner();
-    }
-
-    /// Hard-kill: reject new submissions, fail every *queued* query with
-    /// [`Error::ServerShutdown`] immediately (no drain), and let the worker
-    /// exit. A batch already inside the engine still runs to completion —
-    /// its answers are correct, so delivering them is harmless. This is
-    /// the chaos harness's "replica crash"; callers that were queued here
-    /// observe the typed error and can retry elsewhere (the fleet router
-    /// does exactly that).
-    pub fn crash(&self) {
-        let dropped = {
-            let mut q = lock_queue(&self.shared);
-            q.shutdown = true;
-            let dropped: Vec<Request> = q.requests.drain(..).collect();
-            dropped
-        };
-        if !dropped.is_empty() {
-            self.shared
-                .engine
-                .counters
-                .failed_queries
-                .add(dropped.len() as u64);
-            for req in dropped {
-                let _ = req.reply.send(Err(Error::ServerShutdown));
-            }
-        }
-        self.shared.wakeup.notify_all();
-    }
-
-    /// Begin a graceful drain and *take* the still-queued requests instead
-    /// of executing them: new submissions are rejected, the in-flight batch
-    /// (if any) finishes, and the returned requests — reply channels
-    /// intact — can be re-queued on another replica so their callers never
-    /// see an error. This is the fleet's drain path.
-    pub(crate) fn begin_drain_take_queued(&self) -> Vec<Request> {
-        let taken: Vec<Request> = {
-            let mut q = lock_queue(&self.shared);
-            q.shutdown = true;
-            q.requests.drain(..).collect()
-        };
-        self.shared.wakeup.notify_all();
-        taken
-    }
-
-    /// Force the circuit breaker open, exactly as a run of consecutive
-    /// batch failures would — the chaos harness's "open breaker" action.
-    /// The breaker heals normally: after the cooldown one probe is
-    /// admitted, and a successful batch closes it.
-    pub fn trip_breaker(&self) {
-        let mut b = lock_breaker(&self.shared);
-        if !matches!(b.state, BreakerState::Open { .. }) {
-            self.shared.engine.counters.breaker_trip();
-        }
-        b.state = BreakerState::Open {
-            since: Instant::now(),
-        };
-        b.consecutive_failures = b
-            .consecutive_failures
-            .max(self.shared.robust.breaker_threshold);
-    }
-
-    /// Whether the circuit breaker is currently open (shedding). A
-    /// half-open breaker (probe in flight) reports `false` — it is
-    /// actively testing recovery.
-    pub fn breaker_open(&self) -> bool {
-        matches!(lock_breaker(&self.shared).state, BreakerState::Open { .. })
     }
 
     fn shutdown_inner(&mut self) {

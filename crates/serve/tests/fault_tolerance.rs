@@ -206,6 +206,9 @@ fn transient_fault_is_retried_to_success() {
     server.shutdown();
 }
 
+/// A batch that stays faulty through the retry budget fails typed, and
+/// the failure trips a threshold-1 breaker: the next query is shed at
+/// admission with `Degraded` and counted as a shed, not a failure.
 #[test]
 fn exhausted_retry_budget_fails_the_batch_with_engine_fault() {
     let (engine, ds) = faulty_engine(FaultPlan {
@@ -218,7 +221,8 @@ fn exhausted_retry_budget_fails_the_batch_with_engine_fault() {
         RobustnessConfig {
             max_retries: 2,
             retry_backoff: Duration::from_micros(100),
-            breaker_threshold: 10,
+            breaker_threshold: 1,
+            breaker_cooldown: Duration::from_secs(60),
             ..RobustnessConfig::default()
         },
     );
@@ -226,6 +230,10 @@ fn exhausted_retry_budget_fails_the_batch_with_engine_fault() {
     let outcome = server.submit(q).expect("admitted").wait();
     assert_eq!(outcome, Err(Error::EngineFault { retries: 2 }));
     assert_eq!(count(&server, "serve/engine_retries"), 2);
+    assert_eq!(count(&server, "serve/failed_queries"), 1);
+    assert_eq!(count(&server, "serve/breaker_trips"), 1);
+    assert_eq!(server.submit(q).err(), Some(Error::Degraded));
+    assert_eq!(count(&server, "serve/shed_degraded"), 1);
     assert_eq!(count(&server, "serve/failed_queries"), 1);
     server.shutdown();
 }
