@@ -28,7 +28,6 @@ pub mod runtime;
 pub mod sample;
 pub mod store;
 pub mod train;
-pub mod wlnm;
 
 pub use checkpoint::{CheckpointDir, TrainState};
 pub use error::Error;
@@ -45,8 +44,7 @@ pub use sample::{
 };
 pub use store::{SampleStore, StoreKey};
 pub use train::{
-    predict_probs, DivergenceCause, LinkModel, RecoveryEvent, TrainConfig, Trainer, WatchdogConfig,
+    predict_probs, DivergenceCause, RecoveryEvent, TrainConfig, Trainer, WatchdogConfig,
 };
-pub use wlnm::{WlnmConfig, WlnmModel};
 
 pub use amdgcnn_obs as obs;

@@ -29,7 +29,6 @@
 //! in a minibatch and alone; [`DgcnnModel::forward`] is the batch of one.
 
 use crate::sample::PreparedSample;
-use crate::train::LinkModel;
 use amdgcnn_nn::{
     Activation, BlockDiagGraph, Conv1dLayer, GatConfig, GatConv, GcnConv, GraphLayer, MessageGraph,
     Mlp, RgcnConfig, RgcnConv,
@@ -405,22 +404,6 @@ impl DgcnnModel {
         (0..b)
             .map(|k| tape.gather_rows(logits, Arc::new(vec![k])))
             .collect()
-    }
-}
-
-impl LinkModel for DgcnnModel {
-    fn forward_batch(
-        &self,
-        tape: &mut Tape,
-        ps: &ParamStore,
-        samples: &[&PreparedSample],
-        dropout_rngs: Option<&mut [StdRng]>,
-    ) -> Vec<Var> {
-        self.forward_batched(tape, ps, samples, dropout_rngs)
-    }
-
-    fn num_classes(&self) -> usize {
-        self.cfg.num_classes
     }
 }
 

@@ -522,7 +522,7 @@ impl Session {
 
 /// Compute the paper's metrics for a model on a sample batch.
 pub fn evaluate_model(
-    model: &impl crate::train::LinkModel,
+    model: &DgcnnModel,
     ps: &ParamStore,
     samples: &[PreparedSample],
 ) -> EvalMetrics {
@@ -531,7 +531,7 @@ pub fn evaluate_model(
     let preds = argmax_predictions(&probs);
     EvalMetrics {
         auc: macro_auc(&probs, &labels),
-        ap: average_precision(&preds, &labels, model.num_classes()),
+        ap: average_precision(&preds, &labels, model.cfg.num_classes),
         accuracy: accuracy(&preds, &labels),
     }
 }

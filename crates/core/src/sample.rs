@@ -25,7 +25,8 @@ pub struct PreparedSample {
     pub num_nodes: usize,
     /// Subgraph edge count (target link excluded).
     pub num_edges: usize,
-    /// Raw induced edges in local indices (used by the WLNM baseline).
+    /// Raw induced edges in local indices. The sample store records them
+    /// and rebuilds the message graph from them.
     pub edges: Vec<LocalEdge>,
     /// DRNL label per local node (locals 0 and 1 are the targets).
     pub drnl: Vec<u32>,

@@ -1,7 +1,7 @@
 //! Minibatch training and evaluation.
 //!
-//! Each minibatch runs as one packed tape: the model's
-//! [`LinkModel::forward_batch`] forwards every sample, the per-sample
+//! Each minibatch runs as one packed tape:
+//! [`DgcnnModel::forward_batched`] forwards every sample, the per-sample
 //! losses are averaged on the tape, and one backward pass yields the mean
 //! batch gradient. Shuffling and dropout draw from RNG streams that depend
 //! only on `(seed, epoch, sample)`, so training is bit-for-bit
@@ -10,6 +10,7 @@
 use crate::checkpoint::TrainState;
 use crate::error::{Error, Result};
 use crate::fault::FaultInjector;
+use crate::model::DgcnnModel;
 use crate::sample::PreparedSample;
 use amdgcnn_nn::Adam;
 use amdgcnn_obs::Obs;
@@ -17,27 +18,6 @@ use amdgcnn_tensor::{Matrix, ParamId, ParamStore, Tape, Var};
 use rand::{rngs::StdRng, SeedableRng};
 use rayon::prelude::*;
 use std::sync::Arc;
-
-/// A subgraph-level link classifier the trainer can drive: anything that
-/// maps a minibatch of [`PreparedSample`]s to one `[1, num_classes]`
-/// logit row per sample on a tape. Implemented by
-/// [`crate::model::DgcnnModel`] (both GNN variants) and
-/// [`crate::wlnm::WlnmModel`] (the §VI-B baseline).
-pub trait LinkModel: Sync {
-    /// Forward a whole minibatch on one tape, returning one logits `Var`
-    /// per sample in order. `dropout_rngs`, when given, holds one RNG per
-    /// sample and enables training-mode dropout; `None` runs inference.
-    fn forward_batch(
-        &self,
-        tape: &mut Tape,
-        ps: &ParamStore,
-        samples: &[&PreparedSample],
-        dropout_rngs: Option<&mut [StdRng]>,
-    ) -> Vec<Var>;
-
-    /// Number of output classes.
-    fn num_classes(&self) -> usize;
-}
 
 /// Divergence-watchdog settings: what the trainer does when an epoch
 /// produces a non-finite loss or non-finite gradients. The watchdog is
@@ -202,7 +182,7 @@ impl Trainer {
     ///   fails finiteness validation.
     pub fn train(
         &mut self,
-        model: &impl LinkModel,
+        model: &DgcnnModel,
         ps: &mut ParamStore,
         samples: &[PreparedSample],
         epochs: usize,
@@ -367,7 +347,7 @@ impl Trainer {
     /// a retry of the same epoch replays it exactly.
     fn run_epoch(
         &mut self,
-        model: &impl LinkModel,
+        model: &DgcnnModel,
         ps: &mut ParamStore,
         samples: &[PreparedSample],
         attempt: usize,
@@ -400,7 +380,7 @@ impl Trainer {
             let mut rngs: Vec<StdRng> = chunk.iter().map(|&idx| dropout_rng_for(idx)).collect();
             let mut tape = Tape::new();
             let forward_span = t_forward.start();
-            let logits = model.forward_batch(&mut tape, ps, &refs, Some(&mut rngs));
+            let logits = model.forward_batched(&mut tape, ps, &refs, Some(&mut rngs));
             let losses: Vec<Var> = logits
                 .iter()
                 .zip(refs.iter())
@@ -460,18 +440,14 @@ const PREDICT_CHUNK: usize = 32;
 /// Returns `[num_samples, num_classes]` — bit-identical to a per-sample
 /// forward loop, since the packed forward reproduces each sample's logits
 /// exactly.
-pub fn predict_probs(
-    model: &impl LinkModel,
-    ps: &ParamStore,
-    samples: &[PreparedSample],
-) -> Matrix {
+pub fn predict_probs(model: &DgcnnModel, ps: &ParamStore, samples: &[PreparedSample]) -> Matrix {
     let chunks: Vec<&[PreparedSample]> = samples.chunks(PREDICT_CHUNK).collect();
     let chunk_rows: Vec<Vec<Vec<f32>>> = chunks
         .par_iter()
         .map(|chunk| {
             let refs: Vec<&PreparedSample> = chunk.iter().collect();
             let mut tape = Tape::new();
-            let logits = model.forward_batch(&mut tape, ps, &refs, None);
+            let logits = model.forward_batched(&mut tape, ps, &refs, None);
             logits
                 .into_iter()
                 .map(|l| {
@@ -481,7 +457,7 @@ pub fn predict_probs(
                 .collect()
         })
         .collect();
-    let cols = model.num_classes();
+    let cols = model.cfg.num_classes;
     let mut out = Matrix::zeros(samples.len(), cols);
     for (r, row) in chunk_rows.iter().flatten().enumerate() {
         out.row_mut(r).copy_from_slice(row);

@@ -15,7 +15,7 @@
 
 use crate::bfs::UNREACHABLE;
 use crate::drnl::drnl_labels;
-use crate::graph::{GraphBuilder, KnowledgeGraph};
+use crate::graph::KnowledgeGraph;
 use crate::marks::{with_marks, NodeMarks};
 use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
 use std::collections::VecDeque;
@@ -109,15 +109,6 @@ impl EnclosingSubgraph {
     /// Number of induced edges.
     pub fn num_edges(&self) -> usize {
         self.edges.len()
-    }
-
-    /// Materialize as a standalone [`KnowledgeGraph`] (local ids).
-    pub fn to_graph(&self) -> KnowledgeGraph {
-        let mut b = GraphBuilder::with_node_types(self.node_types.clone());
-        for e in &self.edges {
-            b.add_edge(e.u, e.v, e.etype);
-        }
-        b.build()
     }
 }
 
@@ -476,16 +467,6 @@ mod tests {
             assert_eq!(s.dist_a[i], expect_a, "node {orig} dist to a");
             assert_eq!(s.dist_b[i], expect_b, "node {orig} dist to b");
         }
-    }
-
-    #[test]
-    fn to_graph_roundtrip() {
-        let g = chord_path();
-        let s = extract_enclosing_subgraph(&g, 1, 3, &SubgraphConfig::default());
-        let local = s.to_graph();
-        assert_eq!(local.num_nodes(), s.num_nodes());
-        assert_eq!(local.num_edges(), s.num_edges());
-        assert_eq!(local.node_type(0), g.node_type(1));
     }
 
     #[test]

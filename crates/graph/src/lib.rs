@@ -4,9 +4,8 @@
 //! multigraphs, BFS traversals, SEAL enclosing-subgraph extraction with
 //! Double-Radius Node Labeling, classical link-prediction heuristics
 //! (common neighbors, Jaccard, Adamic-Adar, resource allocation,
-//! preferential attachment, Katz, personalized PageRank), WL vertex
-//! ordering for the WLNM baseline, and the live-mutable graph with its
-//! write-ahead log.
+//! preferential attachment, Katz, personalized PageRank), and the
+//! live-mutable graph with its write-ahead log.
 //!
 //! # Example: extract and label an enclosing subgraph
 //!
@@ -40,7 +39,6 @@ pub mod khop;
 mod marks;
 pub mod mutable;
 pub mod pagerank;
-pub mod wl;
 
 pub use bfs::UNREACHABLE;
 pub use graph::{Edge, GraphBuilder, GraphError, KnowledgeGraph};

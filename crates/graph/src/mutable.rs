@@ -31,7 +31,7 @@
 use crate::graph::{Edge, GraphBuilder, GraphError, KnowledgeGraph};
 use crate::marks::{with_marks, NodeMarks};
 use amdgcnn_tensor::durable::{crc32_update, DiskFault};
-use amdgcnn_tensor::wal::{replay as wal_replay, Wal};
+use amdgcnn_tensor::wal::{replay as wal_replay, Wal, WalReplay};
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
@@ -542,17 +542,7 @@ impl MutationWal {
     /// [`WalError::Decode`] naming the first malformed record.
     pub fn open(path: &Path) -> Result<(Self, WalRecovery), WalError> {
         let (wal, replayed) = Wal::open(path)?;
-        let mut batches = Vec::with_capacity(replayed.records.len());
-        for (i, rec) in replayed.records.iter().enumerate() {
-            batches.push(decode_batch(rec).map_err(|err| WalError::Decode { record: i, err })?);
-        }
-        Ok((
-            Self { wal },
-            WalRecovery {
-                batches,
-                dropped_bytes: replayed.dropped_bytes,
-            },
-        ))
+        Ok((Self { wal }, decode_records(&replayed)?))
     }
 
     /// Durably append one batch, optionally under an injected
@@ -597,7 +587,12 @@ impl MutationWal {
 /// # Errors
 /// Same surface as [`MutationWal::open`].
 pub fn replay_log(path: &Path) -> Result<WalRecovery, WalError> {
-    let replayed = wal_replay(path)?;
+    decode_records(&wal_replay(path)?)
+}
+
+/// Decode every replayed record into a batch; the first malformed one is a
+/// [`WalError::Decode`] naming its index.
+fn decode_records(replayed: &WalReplay) -> Result<WalRecovery, WalError> {
     let mut batches = Vec::with_capacity(replayed.records.len());
     for (i, rec) in replayed.records.iter().enumerate() {
         batches.push(decode_batch(rec).map_err(|err| WalError::Decode { record: i, err })?);

@@ -2,9 +2,8 @@
 //!
 //! Recording is one atomic increment plus two atomic adds — safe to call
 //! from rayon workers without ordering constraints, because bucket counts
-//! and sums are commutative. Snapshots are plain data: they merge
-//! (commutatively and associatively, see the property tests) and round-trip
-//! through JSON, so per-shard histograms can be aggregated offline.
+//! and sums are commutative. Snapshots are plain data that round-trip
+//! through JSON.
 
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -97,7 +96,7 @@ impl Histogram {
     }
 }
 
-/// Plain-data copy of a [`Histogram`]: mergeable and JSON-serializable.
+/// Plain-data copy of a [`Histogram`]: JSON-serializable.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HistogramSnapshot {
     /// Per-bucket sample counts ([`NUM_BUCKETS`] entries).
@@ -122,21 +121,6 @@ impl Default for HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// Combine two snapshots. Saturating and element-wise, so merging is
-    /// commutative and associative — shard order never changes the result.
-    pub fn merge(&self, other: &HistogramSnapshot) -> HistogramSnapshot {
-        let n = self.buckets.len().max(other.buckets.len());
-        let at = |v: &[u64], i: usize| v.get(i).copied().unwrap_or(0);
-        HistogramSnapshot {
-            buckets: (0..n)
-                .map(|i| at(&self.buckets, i).saturating_add(at(&other.buckets, i)))
-                .collect(),
-            count: self.count.saturating_add(other.count),
-            sum_ns: self.sum_ns.saturating_add(other.sum_ns),
-            max_ns: self.max_ns.max(other.max_ns),
-        }
-    }
-
     /// Mean sample in nanoseconds (0 when empty — never a division by
     /// zero).
     pub fn mean_ns(&self) -> u64 {
@@ -215,25 +199,5 @@ mod tests {
         assert!(s.quantile_ns(0.5) >= 200_000);
         assert!(s.quantile_ns(1.0) >= 5_000_000 || s.quantile_ns(1.0) == s.max_ns);
         assert!(s.quantile_ns(1.0) <= s.max_ns.max(bucket_upper_ns(NUM_BUCKETS - 2)));
-    }
-
-    #[test]
-    fn merge_adds_everything() {
-        let a = {
-            let h = Histogram::new();
-            h.record_ns(1_500);
-            h.record_ns(40_000);
-            h.snapshot()
-        };
-        let b = {
-            let h = Histogram::new();
-            h.record_ns(800);
-            h.snapshot()
-        };
-        let m = a.merge(&b);
-        assert_eq!(m.count, 3);
-        assert_eq!(m.sum_ns, 42_300);
-        assert_eq!(m.max_ns, 40_000);
-        assert_eq!(m, b.merge(&a), "merge must be commutative");
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Stage-level observability for the AM-DGCNN system: hierarchical timing
 //! spans on an injectable [`Clock`], lock-free counters and gauges,
-//! fixed-bucket mergeable latency [`Histogram`]s, and a bounded
+//! fixed-bucket latency [`Histogram`]s, and a bounded
 //! ring-buffer event log — all exportable as one JSON [`Report`].
 //!
 //! ## Design rules
@@ -285,8 +285,6 @@ impl Timer {
     }
 
     /// Plain-data copy of this timer's histogram (empty when disabled).
-    /// Snapshots merge commutatively ([`HistogramSnapshot::merge`]), so
-    /// timers of separate registries aggregate into one set of quantiles.
     pub fn snapshot(&self) -> HistogramSnapshot {
         self.inner
             .as_ref()
@@ -455,21 +453,6 @@ mod tests {
         });
         assert_eq!(t.count(), 400);
         assert_eq!(obs.report().span("parallel").expect("span").total_ns, 4_000);
-    }
-
-    #[test]
-    fn timer_snapshots_are_mergeable_plain_data() {
-        let obs = Obs::enabled();
-        let a = obs.timer("merge/a");
-        let b = obs.timer("merge/b");
-        a.record_ns(1_500);
-        b.record_ns(40_000);
-        let merged = a.snapshot().merge(&b.snapshot());
-        assert_eq!(merged.count, 2);
-        assert_eq!(merged.sum_ns, 41_500);
-        // Disabled timers snapshot to the empty (merge-identity) histogram.
-        let disabled = Obs::disabled().timer("merge/c").snapshot();
-        assert_eq!(disabled.merge(&merged), merged);
     }
 
     #[test]

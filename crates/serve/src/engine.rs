@@ -7,7 +7,7 @@
 use crate::artifact::{instantiate, load_model, ArtifactMeta};
 use crate::stats::ServeCounters;
 use am_dgcnn::fault::{EngineFault, FaultInjector, TransientFault};
-use am_dgcnn::{prepare_sample, DgcnnModel, LinkModel, PreparedSample};
+use am_dgcnn::{prepare_sample, DgcnnModel, PreparedSample};
 use amdgcnn_data::{Dataset, LabeledLink};
 use amdgcnn_graph::AffectedRegion;
 use amdgcnn_tensor::{ParamStore, Tape};
@@ -277,13 +277,15 @@ impl InferenceEngine {
     }
 
     /// Forward pass for a chunk of prepared subgraphs, packed into one
-    /// block-diagonal sparse forward ([`LinkModel::forward_batch`]). The
+    /// block-diagonal sparse forward ([`DgcnnModel::forward_batched`]). The
     /// packed kernels are bit-identical per sample to the per-sample path,
     /// so answers still match training-time [`am_dgcnn::predict_probs`]
     /// bit-for-bit regardless of how queries are chunked.
     fn forward_chunk(&self, samples: &[&PreparedSample]) -> Vec<ClassProbs> {
         let mut tape = Tape::new();
-        let logits = self.model.forward_batch(&mut tape, &self.ps, samples, None);
+        let logits = self
+            .model
+            .forward_batched(&mut tape, &self.ps, samples, None);
         logits
             .into_iter()
             .map(|l| {

@@ -23,7 +23,7 @@ run() {
   if [ "$status" -ne 0 ]; then echo "FAILED: $bin"; fi
 }
 
-BINS="table2_datasets table3_accuracy fig3_cora_epochs fig4_primekg_epochs fig5_biokg_epochs fig6_wn18_epochs fig7_primekg_samples fig8_biokg_samples fig9_wn18_samples ablation_edge_attrs ablation_subgraph_mode baseline_heuristics baseline_wlnm baseline_rgcn"
+BINS="table2_datasets table3_accuracy fig3_cora_epochs fig4_primekg_epochs fig5_biokg_epochs fig6_wn18_epochs fig7_primekg_samples fig8_biokg_samples fig9_wn18_samples ablation_edge_attrs ablation_subgraph_mode baseline_heuristics baseline_rgcn"
 for bin in $BINS; do
   run "$bin"
 done
