@@ -20,25 +20,27 @@
 //! "no relation" encoding). Multi-head attention concatenates (hidden
 //! layers) or averages (final layer) the per-head outputs.
 //!
-//! ## Kernelized attention
+//! ## Fused attention
 //!
 //! The concatenation `aᵀ[dst_f ‖ src_f ‖ eat]` is never materialized.
 //! Splitting `a` into its `dst`/`src`/`edge` row blocks the logit
 //! decomposes into per-*node* scores plus a per-message edge score,
 //!
 //! ```text
-//! e_ij = LeakyReLU( (W·h)·a_dst |_i + (W·h)·a_src |_j + (W_e·x)·a_e |_ij )
+//! e_ij = LeakyReLU( ((W·h)·a_dst |_i + (W·h)·a_src |_j) + (W_e·x)·a_e |_ij )
 //! ```
 //!
-//! which is exactly the g-SDDMM add kernel over two `[N, 1]` columns and
-//! one `[M, 1]` column. Aggregation is the learnable-weight g-SpMM of α
-//! against `W·h` plus an edge-payload aggregation of α against `W_e·x` —
-//! no per-edge `gather_rows`/`concat_cols` tape nodes remain.
+//! Each head records one tape op, [`Tape::gat_attention`], over `W·h`,
+//! `W_e·x` and `a`: it computes those scores, the LeakyReLU, the softmax
+//! over each destination's messages and both α-weighted sums in one sweep
+//! over the destination segments, and its backward is one hand-written
+//! adjoint. The α it computes stays on the op's record. The edge
+//! attributes are a constant leaf, so the backward pass computes no
+//! gradient for them. Heads stay a loop of their own projections.
 
 use crate::message_graph::{GraphLayer, MessageGraph};
 use amdgcnn_tensor::{init, Matrix, ParamId, ParamStore, Tape, Var};
 use rand::rngs::StdRng;
-use std::sync::Arc;
 
 /// Parameters of one attention head.
 #[derive(Debug, Clone)]
@@ -151,45 +153,22 @@ impl GraphLayer for GatConv {
             None
         };
         let csr = graph.csr();
-        let out = self.cfg.out_dim;
 
         let mut head_outputs = Vec::with_capacity(self.heads.len());
         for head in &self.heads {
             let w = tape.param(head.weight, ps.get(head.weight).clone());
             let hw = tape.matmul(h, w); // [N, out]
-
-            // Split the attention vector into its dst/src/edge row blocks.
             let a = tape.param(head.attn, ps.get(head.attn).clone());
-            let a_dst = tape.gather_rows(a, Arc::new((0..out).collect()));
-            let a_src = tape.gather_rows(a, Arc::new((out..2 * out).collect()));
-            let s_dst = tape.matmul(hw, a_dst); // [N, 1]
-            let s_src = tape.matmul(hw, a_src); // [N, 1]
-
-            let (s_edge, edge_term) = match (head.edge_weight, edge_attr) {
+            // Transformed edge attributes: part of the logit and of the
+            // message value.
+            let eat = match (head.edge_weight, edge_attr) {
                 (Some(we), Some(ea)) => {
                     let wev = tape.param(we, ps.get(we).clone());
-                    let eat = tape.matmul(ea, wev); // [M, out]
-                    let a_e = tape.gather_rows(a, Arc::new((2 * out..3 * out).collect()));
-                    (Some(tape.matmul(eat, a_e)), Some(eat)) // [M, 1]
+                    Some(tape.matmul(ea, wev)) // [M, out]
                 }
-                _ => (None, None),
+                _ => None,
             };
-
-            let logits = tape.edge_score(csr.clone(), s_src, s_dst, s_edge); // [M, 1]
-            let logits = tape.leaky_relu(logits, self.cfg.negative_slope);
-            let alpha = tape.segment_softmax(logits, graph.segments());
-
-            // Message value: transformed source plus transformed edge attr,
-            // attention-weighted and reduced per destination in one kernel
-            // call each.
-            let agg = tape.gspmm(csr.clone(), alpha, hw); // [N, out]
-            let agg = match edge_term {
-                Some(eat) => {
-                    let ea_agg = tape.edge_aggregate(csr.clone(), alpha, eat);
-                    tape.add(agg, ea_agg)
-                }
-                None => agg,
-            };
+            let agg = tape.gat_attention(csr.clone(), hw, eat, a, self.cfg.negative_slope);
             let b = tape.param(head.bias, ps.get(head.bias).clone());
             head_outputs.push(tape.add_row_broadcast(agg, b));
         }

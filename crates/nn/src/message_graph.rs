@@ -16,9 +16,9 @@
 //! * lazily cached per-message weight vectors (GCN symmetric norm,
 //!   R-GCN per-relation in-degree norms).
 //!
-//! Layers consume it through the g-SpMM / g-SDDMM tape ops, so a forward
-//! pass is a handful of large sparse kernel calls instead of per-edge
-//! gather/concat chains.
+//! Layers consume it through the g-SpMM and fused attention tape ops, so
+//! a forward pass is a handful of large sparse kernel calls instead of
+//! per-edge gather/concat chains.
 
 use amdgcnn_tensor::{CsrGraph, Matrix, ParamStore, Tape, Var};
 use std::collections::BTreeMap;
@@ -32,7 +32,6 @@ pub struct MessageGraph {
     num_nodes: usize,
     num_edges: usize,
     csr: Arc<CsrGraph>,
-    segments: Arc<Vec<(usize, usize)>>,
     /// Originating undirected edge per message (`None` for self-loops).
     orig_edge: Arc<Vec<Option<usize>>>,
     /// Relation type per message (`None` for self-loops).
@@ -114,7 +113,6 @@ impl MessageGraph {
             .map(|&(d, s, ..)| (s as u32, d as u32))
             .collect();
         let csr = Arc::new(CsrGraph::from_messages(num_nodes, &pairs));
-        let segments = Arc::new(csr.dst_segments());
         let edge_attrs = match per_edge_attrs {
             Some(ea) => {
                 let mut out = Matrix::zeros(msgs.len(), ea.cols());
@@ -131,7 +129,6 @@ impl MessageGraph {
             num_nodes,
             num_edges: edges.len(),
             csr,
-            segments,
             orig_edge: Arc::new(msgs.iter().map(|&(_, _, e, _)| e).collect()),
             rel: Arc::new(msgs.iter().map(|&(_, _, _, r)| r).collect()),
             edge_attrs,
@@ -177,7 +174,6 @@ impl MessageGraph {
         }
         assert_eq!(pairs.len(), orig.len(), "one origin per message");
         let csr = Arc::new(CsrGraph::from_messages(num_nodes, pairs));
-        let segments = Arc::new(csr.dst_segments());
         let mut orig_edge: Vec<Option<usize>> = Vec::with_capacity(orig.len());
         let mut rel: Vec<Option<u16>> = Vec::with_capacity(orig.len());
         for &e in orig {
@@ -210,7 +206,6 @@ impl MessageGraph {
             num_nodes,
             num_edges: edges.len(),
             csr,
-            segments,
             orig_edge: Arc::new(orig_edge),
             rel: Arc::new(rel),
             edge_attrs,
@@ -237,11 +232,6 @@ impl MessageGraph {
     /// The message CSR consumed by the sparse kernels.
     pub fn csr(&self) -> &Arc<CsrGraph> {
         &self.csr
-    }
-
-    /// Per-destination `(start, end)` message segments (attention softmax).
-    pub fn segments(&self) -> Arc<Vec<(usize, usize)>> {
-        self.segments.clone()
     }
 
     /// Originating undirected edge per message (`None` for self-loops).
@@ -356,12 +346,10 @@ impl MessageGraph {
         rel: Vec<Option<u16>>,
         edge_attrs: EdgeAttrSource,
     ) -> Self {
-        let segments = Arc::new(csr.dst_segments());
         Self {
             num_nodes,
             num_edges,
             csr,
-            segments,
             orig_edge: Arc::new(orig_edge),
             rel: Arc::new(rel),
             edge_attrs,
@@ -373,7 +361,7 @@ impl MessageGraph {
 
 /// The one forward shape every message-passing layer implements. Layers
 /// read whatever slice of the [`MessageGraph`] they understand — GCN its
-/// normalization weights, GAT its segments and edge attributes, R-GCN its
+/// normalization weights, GAT its CSR and edge attributes, R-GCN its
 /// relation weights — so model assembly and batching are family-agnostic.
 pub trait GraphLayer: Send + Sync {
     /// One message-passing step: node features `[N, in]` → `[N, out]`.
@@ -386,7 +374,7 @@ pub trait GraphLayer: Send + Sync {
 /// K variable-size subgraphs packed block-diagonally into one
 /// [`MessageGraph`]: node ids and message ids of part `k` are shifted by
 /// the offsets recorded here, and because the parts are disjoint every
-/// per-destination reduction, segment softmax, and normalization weight is
+/// per-destination reduction, attention softmax, and normalization weight is
 /// bit-identical to the per-sample computation — a batched forward is a
 /// handful of large kernel calls that reproduces K small forwards exactly.
 #[derive(Debug, Clone)]
@@ -497,16 +485,14 @@ mod tests {
         let g = MessageGraph::from_undirected(3, &[(0, 1), (1, 2)]);
         assert_eq!(g.num_messages(), 7);
         assert_eq!(g.num_edges(), 2);
-        assert_eq!(g.segments().len(), 3);
-        // dst grouped; each segment covers that node's incoming messages.
-        for (n, &(s, e)) in g.segments().iter().enumerate() {
-            for m in s..e {
-                assert_eq!(g.csr().dst_ids()[m] as usize, n);
-            }
-        }
+        // dst grouped: one contiguous run of incoming messages per node.
+        assert!(g.csr().dst_ids().windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!((0..3).map(|n| g.csr().in_degree(n)).sum::<usize>(), 7);
         // Node 1 receives from 0, 2 and itself.
-        let (s, e) = g.segments()[1];
-        let mut srcs: Vec<u32> = (s..e).map(|m| g.csr().src_ids()[m]).collect();
+        let mut srcs: Vec<u32> = (0..7)
+            .filter(|&m| g.csr().dst_ids()[m] == 1)
+            .map(|m| g.csr().src_ids()[m])
+            .collect();
         srcs.sort_unstable();
         assert_eq!(srcs, vec![0, 1, 2]);
     }
@@ -655,7 +641,6 @@ mod tests {
         assert_eq!(rebuilt.csr().dst_ids(), built.csr().dst_ids());
         assert_eq!(rebuilt.orig_edge(), built.orig_edge());
         assert_eq!(rebuilt.relations(), built.relations());
-        assert_eq!(&*rebuilt.segments(), &*built.segments());
         assert_eq!(
             rebuilt.edge_attrs().map(|a| a.data()),
             built.edge_attrs().map(|a| a.data())

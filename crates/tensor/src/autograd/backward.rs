@@ -3,169 +3,212 @@
 //! Nodes only reference earlier nodes, so a single reverse iteration over
 //! the arena visits every node after all of its consumers. Gradients for
 //! intermediate nodes are dropped as soon as they have been propagated;
-//! parameter gradients are collected into a [`GradStore`].
+//! parameter gradients are collected into a [`GradStore`]. A node no
+//! parameter feeds (a constant leaf such as the node features or the edge
+//! attributes, or anything computed from constants alone) gets no
+//! gradient: its rule's share is never computed.
 
 use super::op::{Conv1dSpec, Op};
 use super::tape::Tape;
 use crate::matmul::{matmul_nt, matmul_tn};
 use crate::matrix::Matrix;
 use crate::param::GradStore;
+use crate::sparse::AttentionInputs;
 
 use super::op::Var;
 
+/// Pending gradients of the sweep, one slot per node, and which nodes
+/// want one.
+struct Grads {
+    slots: Vec<Option<Matrix>>,
+    need: Vec<bool>,
+}
+
+impl Grads {
+    /// True when some parameter feeds `v`.
+    fn wants(&self, v: Var) -> bool {
+        self.need[v.0]
+    }
+
+    /// Add the gradient `delta` computes onto `v`'s. `delta` runs only
+    /// when `v` wants a gradient.
+    fn add(&mut self, v: Var, delta: impl FnOnce() -> Matrix) {
+        if !self.need[v.0] {
+            return;
+        }
+        let delta = delta();
+        match &mut self.slots[v.0] {
+            Some(g) => g.add_assign(&delta),
+            slot => *slot = Some(delta),
+        }
+    }
+}
+
 impl Tape {
+    /// Per node: does any parameter feed it? Parents precede their
+    /// consumers, so one forward pass settles it.
+    fn needs_grad(&self) -> Vec<bool> {
+        let mut need: Vec<bool> = Vec::with_capacity(self.nodes.len());
+        for node in &self.nodes {
+            let n = match &node.op {
+                Op::Leaf => false,
+                Op::Param(_) => true,
+                op => op.parents().iter().any(|p| need[p.0]),
+            };
+            need.push(n);
+        }
+        need
+    }
+
     /// Run the backward pass from `output`, seeding its gradient with ones
     /// (for the usual `[1, 1]` loss this is dL/dL = 1). Returns parameter
     /// gradients in a store sized for `n_params`.
     pub fn backward(&self, output: Var, n_params: usize) -> GradStore {
         let n = self.nodes.len();
-        let mut grads: Vec<Option<Matrix>> = vec![None; n];
+        let mut grads = Grads {
+            slots: vec![None; n],
+            need: self.needs_grad(),
+        };
         let (r, c) = self.shape(output);
-        grads[output.index()] = Some(Matrix::ones(r, c));
+        grads.add(output, || Matrix::ones(r, c));
         let mut store = GradStore::new(n_params);
 
         for i in (0..n).rev() {
-            let Some(g) = grads[i].take() else { continue };
+            let Some(g) = grads.slots[i].take() else {
+                continue;
+            };
             match &self.nodes[i].op {
                 Op::Leaf => {}
                 Op::Param(id) => store.accumulate(*id, &g),
                 Op::MatMul(a, b) => {
-                    let da = matmul_nt(&g, self.value(*b));
-                    let db = matmul_tn(self.value(*a), &g);
-                    acc(&mut grads, a.index(), da);
-                    acc(&mut grads, b.index(), db);
+                    grads.add(*a, || matmul_nt(&g, self.value(*b)));
+                    grads.add(*b, || matmul_tn(self.value(*a), &g));
                 }
                 Op::Add(a, b) => {
-                    acc(&mut grads, a.index(), g.clone());
-                    acc(&mut grads, b.index(), g);
+                    grads.add(*a, || g.clone());
+                    grads.add(*b, || g);
                 }
                 Op::Mul(a, b) => {
-                    let da = g.hadamard(self.value(*b));
-                    let db = g.hadamard(self.value(*a));
-                    acc(&mut grads, a.index(), da);
-                    acc(&mut grads, b.index(), db);
+                    grads.add(*a, || g.hadamard(self.value(*b)));
+                    grads.add(*b, || g.hadamard(self.value(*a)));
                 }
                 Op::AddRowBroadcast(x, bias) => {
-                    acc(&mut grads, bias.index(), g.sum_rows());
-                    acc(&mut grads, x.index(), g);
+                    grads.add(*bias, || g.sum_rows());
+                    grads.add(*x, || g);
                 }
                 Op::MulColBroadcast(x, col) => {
-                    let dx = g.mul_col_broadcast(self.value(*col));
-                    let dcol = g.hadamard(self.value(*x)).sum_cols();
-                    acc(&mut grads, x.index(), dx);
-                    acc(&mut grads, col.index(), dcol);
+                    grads.add(*x, || g.mul_col_broadcast(self.value(*col)));
+                    grads.add(*col, || g.hadamard(self.value(*x)).sum_cols());
                 }
-                Op::Scale(x, alpha) => acc(&mut grads, x.index(), g.scale(*alpha)),
+                Op::Scale(x, alpha) => grads.add(*x, || g.scale(*alpha)),
                 Op::Tanh(x) => {
                     let y = self.nodes[i].value.as_matrix();
-                    let dx = g.zip_map(y, |gi, yi| gi * (1.0 - yi * yi));
-                    acc(&mut grads, x.index(), dx);
+                    grads.add(*x, || g.zip_map(y, |gi, yi| gi * (1.0 - yi * yi)));
                 }
                 Op::Relu(x) => {
-                    let dx = g.zip_map(self.value(*x), |gi, xi| if xi > 0.0 { gi } else { 0.0 });
-                    acc(&mut grads, x.index(), dx);
+                    grads.add(*x, || {
+                        g.zip_map(self.value(*x), |gi, xi| if xi > 0.0 { gi } else { 0.0 })
+                    });
                 }
                 Op::LeakyRelu(x, slope) => {
                     let s = *slope;
-                    let dx = g.zip_map(self.value(*x), |gi, xi| if xi > 0.0 { gi } else { s * gi });
-                    acc(&mut grads, x.index(), dx);
+                    grads.add(*x, || {
+                        g.zip_map(self.value(*x), |gi, xi| if xi > 0.0 { gi } else { s * gi })
+                    });
                 }
                 Op::Sigmoid(x) => {
                     let y = self.nodes[i].value.as_matrix();
-                    let dx = g.zip_map(y, |gi, yi| gi * yi * (1.0 - yi));
-                    acc(&mut grads, x.index(), dx);
+                    grads.add(*x, || g.zip_map(y, |gi, yi| gi * yi * (1.0 - yi)));
                 }
                 Op::SoftmaxRows(x) => {
                     let y = self.nodes[i].value.as_matrix();
-                    let mut dx = Matrix::zeros(y.rows(), y.cols());
-                    for r in 0..y.rows() {
-                        let yr = y.row(r);
-                        let gr = g.row(r);
-                        let dot: f32 = yr.iter().zip(gr.iter()).map(|(&a, &b)| a * b).sum();
-                        let dr = dx.row_mut(r);
-                        for c in 0..yr.len() {
-                            dr[c] = yr[c] * (gr[c] - dot);
+                    grads.add(*x, || {
+                        let mut dx = Matrix::zeros(y.rows(), y.cols());
+                        for r in 0..y.rows() {
+                            let yr = y.row(r);
+                            let gr = g.row(r);
+                            let dot: f32 = yr.iter().zip(gr.iter()).map(|(&a, &b)| a * b).sum();
+                            let dr = dx.row_mut(r);
+                            for c in 0..yr.len() {
+                                dr[c] = yr[c] * (gr[c] - dot);
+                            }
                         }
-                    }
-                    acc(&mut grads, x.index(), dx);
+                        dx
+                    });
                 }
                 Op::ConcatCols(parts) => {
                     let mut offset = 0;
                     for p in parts {
                         let w = self.shape(*p).1;
-                        let mut dp = Matrix::zeros(g.rows(), w);
-                        for r in 0..g.rows() {
-                            dp.row_mut(r).copy_from_slice(&g.row(r)[offset..offset + w]);
-                        }
+                        grads.add(*p, || {
+                            let mut dp = Matrix::zeros(g.rows(), w);
+                            for r in 0..g.rows() {
+                                dp.row_mut(r).copy_from_slice(&g.row(r)[offset..offset + w]);
+                            }
+                            dp
+                        });
                         offset += w;
-                        acc(&mut grads, p.index(), dp);
                     }
                 }
                 Op::GatherRows { src, idx } => {
                     let rows = self.shape(*src).0;
-                    acc(&mut grads, src.index(), g.scatter_add_rows(idx, rows));
+                    grads.add(*src, || g.scatter_add_rows(idx, rows));
                 }
                 Op::ScatterAddRows { src, idx, .. } => {
-                    acc(&mut grads, src.index(), g.gather_rows(idx));
-                }
-                Op::SegmentSoftmax { src, segments } => {
-                    let y = self.nodes[i].value.as_matrix();
-                    let mut dx = Matrix::zeros(y.rows(), 1);
-                    for &(start, end) in segments.iter() {
-                        let mut dot = 0.0f32;
-                        for r in start..end {
-                            dot += y.get(r, 0) * g.get(r, 0);
-                        }
-                        for r in start..end {
-                            dx.set(r, 0, y.get(r, 0) * (g.get(r, 0) - dot));
-                        }
-                    }
-                    acc(&mut grads, src.index(), dx);
-                }
-                Op::GSpmm { graph, w, h } => {
-                    // dW is the g-SDDMM dot of the output gradient against
-                    // the source features; dH is the transposed g-SpMM.
-                    let dw = graph.sddmm_dot(&g, self.value(*h));
-                    let dh = graph.spmm_ew_t(self.value(*w).data(), &g);
-                    acc(&mut grads, w.index(), dw);
-                    acc(&mut grads, h.index(), dh);
+                    grads.add(*src, || g.gather_rows(idx));
                 }
                 Op::GSpmmStatic { graph, w, h } => {
-                    acc(&mut grads, h.index(), graph.spmm_ew_t(w, &g));
+                    grads.add(*h, || graph.spmm_ew_t(w, &g));
                 }
-                Op::GSddmmAdd {
+                Op::GatAttention {
                     graph,
-                    src,
-                    dst,
+                    hw,
                     edge,
+                    attn,
+                    slope,
+                    logits,
+                    alpha,
                 } => {
-                    acc(&mut grads, src.index(), graph.scatter_src(&g));
-                    acc(&mut grads, dst.index(), graph.scatter_dst(&g));
-                    if let Some(e) = edge {
-                        acc(&mut grads, e.index(), g);
+                    let inputs = AttentionInputs {
+                        hw: self.value(*hw),
+                        edge: edge.map(|e| self.value(e)),
+                        attn: self.value(*attn).data(),
+                        slope: *slope,
+                    };
+                    let want_edge = edge.is_some_and(|e| grads.wants(e));
+                    let d = graph.gat_attention_backward(
+                        &inputs,
+                        logits,
+                        alpha,
+                        &g,
+                        grads.wants(*hw),
+                        want_edge,
+                    );
+                    if let Some(dh) = d.hw {
+                        grads.add(*hw, || dh);
                     }
-                }
-                Op::EdgeAggregate { graph, w, x } => {
-                    let dw = graph.sddmm_dot_edge(&g, self.value(*x));
-                    let dx = graph.expand_dst(self.value(*w).data(), &g);
-                    acc(&mut grads, w.index(), dw);
-                    acc(&mut grads, x.index(), dx);
+                    if let (Some(e), Some(de)) = (edge, d.edge) {
+                        grads.add(*e, || de);
+                    }
+                    grads.add(*attn, || d.attn);
                 }
                 Op::MeanAll(x) => {
                     let (r, c) = self.shape(*x);
                     let scale = g.get(0, 0) / (r * c).max(1) as f32;
-                    acc(&mut grads, x.index(), Matrix::full(r, c, scale));
+                    grads.add(*x, || Matrix::full(r, c, scale));
                 }
                 Op::SortPool { src, kept } => {
                     // Each source row was kept at most once, so its
                     // gradient is its slot's gradient, copied.
                     let (rows, cols) = self.shape(*src);
-                    let mut dx = Matrix::zeros(rows, cols);
-                    for &(slot, row) in kept {
-                        dx.row_mut(row)
-                            .copy_from_slice(&g.data()[slot * cols..(slot + 1) * cols]);
-                    }
-                    acc(&mut grads, src.index(), dx);
+                    grads.add(*src, || {
+                        let mut dx = Matrix::zeros(rows, cols);
+                        for &(slot, row) in kept {
+                            dx.row_mut(row)
+                                .copy_from_slice(&g.data()[slot * cols..(slot + 1) * cols]);
+                        }
+                        dx
+                    });
                 }
                 Op::Conv1d {
                     input,
@@ -176,32 +219,35 @@ impl Tape {
                 } => {
                     let (dx, dw, db) =
                         conv1d_backward(self.value(*input), self.value(*weight), &g, *spec, *len);
-                    acc(&mut grads, input.index(), dx);
-                    acc(&mut grads, weight.index(), dw);
-                    acc(&mut grads, bias.index(), db);
+                    grads.add(*input, || dx);
+                    grads.add(*weight, || dw);
+                    grads.add(*bias, || db);
                 }
                 Op::MaxPool1d { src, argmax, .. } => {
                     let (rows, cols) = self.shape(*src);
-                    let mut dx = Matrix::zeros(rows, cols);
-                    for (flat_out, &flat_in) in argmax.iter().enumerate() {
-                        let gv = g.data()[flat_out];
-                        dx.data_mut()[flat_in] += gv;
-                    }
-                    acc(&mut grads, src.index(), dx);
+                    grads.add(*src, || {
+                        let mut dx = Matrix::zeros(rows, cols);
+                        for (flat_out, &flat_in) in argmax.iter().enumerate() {
+                            dx.data_mut()[flat_in] += g.data()[flat_out];
+                        }
+                        dx
+                    });
                 }
                 Op::Reshape {
                     src,
                     src_rows,
                     src_cols,
                 } => {
-                    acc(&mut grads, src.index(), g.reshaped(*src_rows, *src_cols));
+                    grads.add(*src, || g.reshaped(*src_rows, *src_cols));
                 }
                 Op::Dropout { src, mask } => {
-                    let mut dx = g.clone();
-                    for (d, &m) in dx.data_mut().iter_mut().zip(mask.iter()) {
-                        *d *= m;
-                    }
-                    acc(&mut grads, src.index(), dx);
+                    grads.add(*src, || {
+                        let mut dx = g.clone();
+                        for (d, &m) in dx.data_mut().iter_mut().zip(mask.iter()) {
+                            *d *= m;
+                        }
+                        dx
+                    });
                 }
                 Op::SoftmaxCrossEntropy {
                     logits,
@@ -209,12 +255,14 @@ impl Tape {
                     probs,
                 } => {
                     let scale = g.get(0, 0) / labels.len().max(1) as f32;
-                    let mut dl = probs.clone();
-                    for (r, &y) in labels.iter().enumerate() {
-                        dl.set(r, y, dl.get(r, y) - 1.0);
-                    }
-                    dl.scale_inplace(scale);
-                    acc(&mut grads, logits.index(), dl);
+                    grads.add(*logits, || {
+                        let mut dl = probs.clone();
+                        for (r, &y) in labels.iter().enumerate() {
+                            dl.set(r, y, dl.get(r, y) - 1.0);
+                        }
+                        dl.scale_inplace(scale);
+                        dl
+                    });
                 }
             }
         }
@@ -272,12 +320,4 @@ fn conv1d_backward(
         }
     }
     (dx, dw, db)
-}
-
-#[inline]
-fn acc(grads: &mut [Option<Matrix>], idx: usize, delta: Matrix) {
-    match &mut grads[idx] {
-        Some(g) => g.add_assign(&delta),
-        slot => *slot = Some(delta),
-    }
 }

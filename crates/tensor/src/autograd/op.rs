@@ -106,21 +106,6 @@ pub enum Op {
         idx: Arc<Vec<usize>>,
         out_rows: usize,
     },
-    /// Softmax over contiguous row segments of an `[E, 1]` column
-    /// (per-destination attention normalization).
-    SegmentSoftmax {
-        src: Var,
-        segments: Arc<Vec<(usize, usize)>>,
-    },
-    /// Edge-weighted g-SpMM `out[d] = Σ w[m]·h[src[m]]` with a *learnable*
-    /// `[M, 1]` weight column (attention coefficients). Backward: the
-    /// weight gradient is the g-SDDMM dot of the output gradient against
-    /// `h`; the feature gradient is the transposed g-SpMM.
-    GSpmm {
-        graph: Arc<CsrGraph>,
-        w: Var,
-        h: Var,
-    },
     /// Edge-weighted g-SpMM with *fixed* per-message weights (GCN
     /// symmetric norm, R-GCN relation masks, sum/mean reducers). Gradient
     /// flows only to the features, via the transposed kernel.
@@ -129,22 +114,19 @@ pub enum Op {
         w: Arc<Vec<f32>>,
         h: Var,
     },
-    /// g-SDDMM (add flavor): per-message score from `[N, 1]` endpoint
-    /// columns plus an optional `[M, 1]` message column. Backward scatters
-    /// the message gradient onto sources / destinations.
-    GSddmmAdd {
+    /// One fused GAT attention head ([`super::Tape::gat_attention`]) over
+    /// `W·h` (`hw`), the optional `W_e·x` (`edge`) and the attention column
+    /// `attn`. The record keeps the pre-activation `logits` and the
+    /// attention weights `alpha`, one per message: the hand-written
+    /// adjoint reads both.
+    GatAttention {
         graph: Arc<CsrGraph>,
-        src: Var,
-        dst: Var,
+        hw: Var,
         edge: Option<Var>,
-    },
-    /// Weighted aggregation of per-message payload rows
-    /// `out[d] = Σ w[m]·x[m]` with learnable `[M, 1]` weights and
-    /// `[M, F]` payload (attended edge attributes).
-    EdgeAggregate {
-        graph: Arc<CsrGraph>,
-        w: Var,
-        x: Var,
+        attn: Var,
+        slope: f32,
+        logits: Vec<f32>,
+        alpha: Vec<f32>,
     },
     /// Mean of all elements → `[1, 1]`.
     MeanAll(Var),
@@ -209,21 +191,16 @@ impl Op {
             Op::ConcatCols(parts) => parts.clone(),
             Op::GatherRows { src, .. }
             | Op::ScatterAddRows { src, .. }
-            | Op::SegmentSoftmax { src, .. }
             | Op::SortPool { src, .. }
             | Op::MaxPool1d { src, .. }
             | Op::Reshape { src, .. }
             | Op::Dropout { src, .. } => vec![*src],
-            Op::GSpmm { w, h, .. } => vec![*w, *h],
             Op::GSpmmStatic { h, .. } => vec![*h],
-            Op::GSddmmAdd { src, dst, edge, .. } => {
-                let mut p = vec![*src, *dst];
-                if let Some(e) = edge {
-                    p.push(*e);
-                }
+            Op::GatAttention { hw, edge, attn, .. } => {
+                let mut p = vec![*hw, *attn];
+                p.extend(*edge);
                 p
             }
-            Op::EdgeAggregate { w, x, .. } => vec![*w, *x],
             Op::Conv1d {
                 input,
                 weight,

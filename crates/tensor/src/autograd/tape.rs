@@ -11,7 +11,7 @@ use super::op::{Conv1dSpec, Op, Var};
 use crate::matmul::matmul;
 use crate::matrix::Matrix;
 use crate::param::ParamId;
-use crate::sparse::{CsrGraph, Reduce};
+use crate::sparse::{AttentionInputs, CsrGraph, Reduce};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -198,44 +198,6 @@ impl Tape {
         )
     }
 
-    /// Softmax within contiguous row segments of an `[E, 1]` column. The
-    /// segments must partition `0..E`.
-    pub fn segment_softmax(&mut self, x: Var, segments: Arc<Vec<(usize, usize)>>) -> Var {
-        let src = self.value(x);
-        assert_eq!(src.cols(), 1, "segment_softmax expects an [E, 1] column");
-        debug_assert_eq!(
-            segments.iter().map(|&(s, e)| e - s).sum::<usize>(),
-            src.rows(),
-            "segments must partition all rows"
-        );
-        let mut v = src.clone();
-        for &(start, end) in segments.iter() {
-            // Overflow-safe (max-subtracted) with a uniform fallback for
-            // degenerate segments — huge attention logits must not produce
-            // non-finite weights.
-            Matrix::softmax_slice(&mut v.data_mut()[start..end]);
-        }
-        self.push(v, Op::SegmentSoftmax { src: x, segments })
-    }
-
-    /// Edge-weighted g-SpMM with a learnable `[M, 1]` weight column:
-    /// `out[d] = Σ_{m ∈ in(d)} w[m] · h[src[m]]`. Gradients flow to both
-    /// the weights (g-SDDMM dot) and the features (transposed g-SpMM).
-    pub fn gspmm(&mut self, graph: Arc<CsrGraph>, w: Var, h: Var) -> Var {
-        assert_eq!(
-            self.shape(w),
-            (graph.num_messages(), 1),
-            "gspmm: weight column shape"
-        );
-        assert_eq!(
-            self.shape(h).0,
-            graph.num_nodes(),
-            "gspmm: feature row count"
-        );
-        let v = graph.spmm_ew(self.value(w).data(), self.value(h));
-        self.push(v, Op::GSpmm { graph, w, h })
-    }
-
     /// Edge-weighted g-SpMM with fixed per-message weights; gradient flows
     /// only to the features.
     pub fn gspmm_static(&mut self, graph: Arc<CsrGraph>, w: Arc<Vec<f32>>, h: Var) -> Var {
@@ -256,56 +218,41 @@ impl Tape {
         self.gspmm_static(graph, w, h)
     }
 
-    /// g-SDDMM (add flavor): per-message score
-    /// `out[m] = dst_col[dst[m]] + src_col[src[m]] (+ edge_col[m])`.
-    pub fn edge_score(
+    /// One GAT attention head in one record: node and edge scores from
+    /// the attention column `attn` (`[2F, 1]`, or `[3F, 1]` with `edge`),
+    /// the LeakyReLU logit with negative slope `slope`, the max-subtracted
+    /// softmax over each destination's messages and the α-weighted sums of
+    /// `hw[src]` (`[N, F]`) and `edge` (`[M, F]`) per destination →
+    /// `[N, F]`. Gradients flow to all three operands through one
+    /// hand-written adjoint. The order of every float operation is fixed:
+    /// `tests/attention_oracle.rs` pins the outputs bit for bit.
+    pub fn gat_attention(
         &mut self,
         graph: Arc<CsrGraph>,
-        src_col: Var,
-        dst_col: Var,
-        edge_col: Option<Var>,
+        hw: Var,
+        edge: Option<Var>,
+        attn: Var,
+        slope: f32,
     ) -> Var {
-        let n = graph.num_nodes();
-        assert_eq!(self.shape(src_col), (n, 1), "edge_score: src column");
-        assert_eq!(self.shape(dst_col), (n, 1), "edge_score: dst column");
-        if let Some(e) = edge_col {
-            assert_eq!(
-                self.shape(e),
-                (graph.num_messages(), 1),
-                "edge_score: edge column"
-            );
-        }
-        let v = graph.sddmm_add(
-            self.value(src_col),
-            self.value(dst_col),
-            edge_col.map(|e| self.value(e)),
-        );
+        assert_eq!(self.shape(attn).1, 1, "gat_attention: attention column");
+        let att = graph.gat_attention(&AttentionInputs {
+            hw: self.value(hw),
+            edge: edge.map(|e| self.value(e)),
+            attn: self.value(attn).data(),
+            slope,
+        });
         self.push(
-            v,
-            Op::GSddmmAdd {
+            att.out,
+            Op::GatAttention {
                 graph,
-                src: src_col,
-                dst: dst_col,
-                edge: edge_col,
+                hw,
+                edge,
+                attn,
+                slope,
+                logits: att.logits,
+                alpha: att.alpha,
             },
         )
-    }
-
-    /// Weighted aggregation of `[M, F]` per-message payload rows with a
-    /// learnable `[M, 1]` weight column: `out[d] = Σ_{m ∈ in(d)} w[m]·x[m]`.
-    pub fn edge_aggregate(&mut self, graph: Arc<CsrGraph>, w: Var, x: Var) -> Var {
-        assert_eq!(
-            self.shape(w),
-            (graph.num_messages(), 1),
-            "edge_aggregate: weight column"
-        );
-        assert_eq!(
-            self.shape(x).0,
-            graph.num_messages(),
-            "edge_aggregate: payload rows"
-        );
-        let v = graph.edge_aggregate(self.value(w).data(), self.value(x));
-        self.push(v, Op::EdgeAggregate { graph, w, x })
     }
 
     /// Mean of all elements → `[1, 1]`.
@@ -659,38 +606,52 @@ mod tests {
         assert_eq!(t.value(y).data(), &[9.0, 5.0]);
     }
 
-    #[test]
-    fn segment_softmax_normalizes_per_segment() {
-        let mut t = Tape::new();
-        let x = t.leaf(Matrix::col_vector(&[0.0, 0.0, 1.0, 2.0, 3.0]));
-        let segs = Arc::new(vec![(0usize, 2usize), (2, 5)]);
-        let y = t.segment_softmax(x, segs);
-        let v = t.value(y);
-        assert!((v.get(0, 0) - 0.5).abs() < 1e-6);
-        assert!((v.get(1, 0) - 0.5).abs() < 1e-6);
-        let s: f32 = (2..5).map(|i| v.get(i, 0)).sum();
-        assert!((s - 1.0).abs() < 1e-5);
-        assert!(v.get(4, 0) > v.get(3, 0));
+    /// Three nodes, dst-grouped messages 0→0, 1→0, 1→1, 0→2, 2→2. Node 1
+    /// has only its self-loop; node 0 has two messages.
+    fn attention_graph() -> Arc<CsrGraph> {
+        Arc::new(CsrGraph::from_messages(
+            3,
+            &[(0, 0), (1, 0), (1, 1), (0, 2), (2, 2)],
+        ))
     }
 
     #[test]
-    fn segment_softmax_survives_huge_attention_logits() {
-        // Attention logits the size GCN-LASE-style layers can emit on a
-        // badly scaled graph: exp would overflow without max subtraction.
+    fn gat_attention_normalizes_per_destination() {
         let mut t = Tape::new();
-        let x = t.leaf(Matrix::col_vector(&[
-            3.0e38, 3.0e38, -3.0e38, 1.0e38, 9.9e37,
-        ]));
-        let segs = Arc::new(vec![(0usize, 3usize), (3, 5)]);
-        let y = t.segment_softmax(x, segs);
-        let v = t.value(y);
-        assert!(v.all_finite(), "attention weights must stay finite");
-        assert!((v.get(0, 0) - 0.5).abs() < 1e-5);
-        assert!((v.get(1, 0) - 0.5).abs() < 1e-5);
-        assert!(v.get(2, 0) < 1e-6);
-        let s: f32 = (3..5).map(|i| v.get(i, 0)).sum();
-        assert!((s - 1.0).abs() < 1e-5);
-        assert!((v.get(3, 0) - 1.0).abs() < 1e-5, "dominant logit wins");
+        let hw = t.leaf(Matrix::from_vec(3, 1, vec![1.0, 3.0, -2.0]));
+        let attn = t.leaf(Matrix::col_vector(&[0.5, 1.0]));
+        let out = t.gat_attention(attention_graph(), hw, None, attn, 0.2);
+        let Op::GatAttention { logits, alpha, .. } = &t.nodes[out.0].op else {
+            panic!("gat_attention records its own op");
+        };
+        // z = 0.5·hw[dst] + hw[src].
+        assert_eq!(logits, &[1.5, 3.5, 4.5, 0.0, -3.0]);
+        assert_eq!(alpha[2], 1.0, "a lone self-loop takes all the weight");
+        let e = 2.0f32.exp();
+        assert!((alpha[1] - e / (1.0 + e)).abs() < 1e-6);
+        assert!((alpha[3] + alpha[4] - 1.0).abs() < 1e-6);
+        assert!(alpha[3] > alpha[4], "the LeakyReLU keeps the order");
+        let v = t.value(out);
+        assert_eq!(v.get(1, 0), 3.0);
+        assert_eq!(v.get(0, 0), alpha[0] * 1.0 + alpha[1] * 3.0);
+    }
+
+    #[test]
+    fn gat_attention_survives_huge_attention_logits() {
+        // Edge scores the size a badly scaled graph can emit: exp would
+        // overflow without the softmax's max subtraction.
+        let mut t = Tape::new();
+        let hw = t.leaf(Matrix::from_vec(3, 1, vec![1.0, 2.0, 3.0]));
+        let edge = t.leaf(Matrix::col_vector(&[3.0e38, 3.0e38, 1.0, 1.0e38, 9.9e37]));
+        let attn = t.leaf(Matrix::col_vector(&[0.0, 0.0, 1.0]));
+        let out = t.gat_attention(attention_graph(), hw, Some(edge), attn, 0.2);
+        let Op::GatAttention { alpha, .. } = &t.nodes[out.0].op else {
+            panic!("gat_attention records its own op");
+        };
+        assert!(alpha.iter().all(|a| a.is_finite()));
+        assert!((alpha[0] - 0.5).abs() < 1e-6 && (alpha[1] - 0.5).abs() < 1e-6);
+        assert!((alpha[3] - 1.0).abs() < 1e-5, "dominant logit wins");
+        assert!(t.value(out).all_finite());
     }
 
     #[test]

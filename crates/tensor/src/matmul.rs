@@ -16,6 +16,12 @@
 //! left-operand row alone, in the same order at any row count (parallel or
 //! not), so a row of a minibatch product equals that row's own product bit
 //! for bit.
+//!
+//! No kernel splits the shared dimension. Each output entry is summed over
+//! it in increasing order, from `0.0`, whatever the thread count and on
+//! either side of the threshold: [`matmul_tn`] (the weight gradient
+//! `hᵀ · dZ`) splits its output rows, not the rows of `A` and `B`, so a
+//! gradient is the same bits on one CPU and on many.
 
 use crate::matrix::Matrix;
 use rayon::prelude::*;
@@ -87,34 +93,19 @@ pub fn matmul_tn(a: &Matrix, b: &Matrix) -> Matrix {
     let k = a.rows();
     let m = a.cols();
     let n = b.cols();
-    // Accumulate outer products row-by-row of the shared dimension; this
-    // keeps both inputs streaming in row-major order.
+    let mut out = Matrix::zeros(m, n);
     if m * n * k >= PAR_FLOP_THRESHOLD {
-        // Split the shared dimension across threads, then reduce.
-        let chunk = (k / rayon::current_num_threads().max(1)).max(16);
-        let partials: Vec<Matrix> = (0..k)
-            .into_par_iter()
-            .chunks(chunk)
-            .map(|rows| {
-                let mut local = Matrix::zeros(m, n);
-                for p in rows {
-                    accumulate_outer(&mut local, a.row(p), b.row(p));
-                }
-                local
-            })
-            .collect();
-        let mut out = Matrix::zeros(m, n);
-        for part in &partials {
-            out.add_assign(part);
-        }
-        out
-    } else {
-        let mut out = Matrix::zeros(m, n);
-        for p in 0..k {
-            accumulate_outer(&mut out, a.row(p), b.row(p));
-        }
-        out
+        // Blocks of output rows, one per thread; every block reads all of
+        // the shared dimension, so the split never moves a partial sum.
+        let rows = m.div_ceil(rayon::current_num_threads().max(1));
+        out.data_mut()
+            .par_chunks_mut(rows * n)
+            .enumerate()
+            .for_each(|(blk, chunk)| tn_rows(a, b, blk * rows, chunk));
+    } else if n > 0 {
+        tn_rows(a, b, 0, out.data_mut());
     }
+    out
 }
 
 /// `C = A · B` through the dense reference kernel.
@@ -175,17 +166,25 @@ fn mm_row_dense(arow: &[f32], b: &Matrix, orow: &mut [f32]) {
     }
 }
 
-/// `out += arow ⊗ brow` where `arow` indexes output rows.
+/// Output rows `first..` of `Aᵀ · B`, whole rows, into `out`: for each row
+/// `p` of the shared dimension in increasing order, `out[i] += a[p, i] ·
+/// b[p]`. Both inputs stream in row-major order.
 #[inline]
-fn accumulate_outer(out: &mut Matrix, arow: &[f32], brow: &[f32]) {
-    let n = out.cols();
-    for (i, &av) in arow.iter().enumerate() {
-        if av == 0.0 {
-            continue;
-        }
-        let orow = &mut out.data_mut()[i * n..(i + 1) * n];
-        for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
-            *o += av * bv;
+fn tn_rows(a: &Matrix, b: &Matrix, first: usize, out: &mut [f32]) {
+    let n = b.cols();
+    let rows = out.len() / n;
+    for p in 0..a.rows() {
+        let brow = b.row(p);
+        for (&av, orow) in a.row(p)[first..first + rows]
+            .iter()
+            .zip(out.chunks_exact_mut(n))
+        {
+            if av == 0.0 {
+                continue;
+            }
+            for (o, &bv) in orow.iter_mut().zip(brow) {
+                *o += av * bv;
+            }
         }
     }
 }
@@ -272,6 +271,38 @@ mod tests {
         let b = random(128, 64, 13);
         let expect = reference(&a.transpose(), &b);
         assert!(matmul_tn(&a, &b).max_abs_diff(&expect) < 1e-3);
+    }
+
+    /// Above the threshold, `Aᵀ · B` still sums each entry over the shared
+    /// dimension in increasing order from zero, the plain loop's order, so
+    /// the result does not depend on the thread count. The shape is a
+    /// layer's weight gradient `hᵀ · dZ` over a 16-sample minibatch.
+    #[test]
+    fn tn_parallel_path_equals_the_sequential_loop_bitwise() {
+        let (k, m, n) = (704, 32, 32);
+        const _: () = assert!(704 * 32 * 32 >= PAR_FLOP_THRESHOLD);
+        let a = random(k, m, 22);
+        let b = random(k, n, 23);
+        let mut expect = Matrix::zeros(m, n);
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = 0.0f32;
+                for p in 0..k {
+                    acc += a.get(p, i) * b.get(p, j);
+                }
+                expect.set(i, j, acc);
+            }
+        }
+        let bits = |x: &Matrix| x.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&matmul_tn(&a, &b)), bits(&expect));
+        for threads in [1, 3, 4] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("pool");
+            let got = pool.install(|| matmul_tn(&a, &b));
+            assert_eq!(bits(&got), bits(&expect), "{threads} threads");
+        }
     }
 
     #[test]

@@ -462,8 +462,8 @@ impl Matrix {
     }
 
     /// In-place overflow-safe softmax over one contiguous slice; shared by
-    /// [`Matrix::softmax_rows`] and the autograd segment softmax (GAT
-    /// attention normalization). Subtracts the max before exponentiating;
+    /// [`Matrix::softmax_rows`] and the per-destination softmax of the fused
+    /// GAT attention op. Subtracts the max before exponentiating;
     /// if the normalizer still comes out non-positive or non-finite, the
     /// slice becomes the uniform distribution — attention degrades to mean
     /// aggregation rather than poisoning downstream activations.

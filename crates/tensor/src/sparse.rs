@@ -8,14 +8,20 @@
 //!   model layer does.
 //! * [`CsrGraph`] — a *topology-only* CSR over messages `(src → dst)`,
 //!   grouped by destination, carrying both the forward layout and its
-//!   transpose. This is the substrate for the generalized g-SpMM /
-//!   g-SDDMM kernel pair (Wang et al., DGL): every message-passing layer
-//!   reduces to a handful of calls against it, and every backward pass is
-//!   the transposed kernel of its forward.
+//!   transpose. This is the substrate for the generalized g-SpMM kernel
+//!   (Wang et al., DGL) that GCN and R-GCN reduce to, whose backward pass
+//!   is the transposed kernel, and for the fused GAT attention head
+//!   (`CsrGraph::gat_attention`, in the `attention` submodule), which
+//!   runs the g-SDDMM scores, the per-destination softmax and the g-SpMM
+//!   aggregation in one sweep with a hand-written adjoint.
 
 use crate::matrix::Matrix;
 use rayon::prelude::*;
 use std::sync::{Arc, OnceLock};
+
+mod attention;
+
+pub(crate) use attention::AttentionInputs;
 
 /// CSR sparse matrix.
 #[derive(Clone, Debug, PartialEq)]
@@ -165,10 +171,6 @@ impl CsrMatrix {
 /// row in the same order, so the cutover is bit-inert.
 const PAR_WORK: usize = 1 << 16;
 
-/// Message chunk size for per-edge kernels (every output element is
-/// independent, so chunking is bit-inert too).
-const EDGE_CHUNK: usize = 256;
-
 /// Reduction applied by [`CsrGraph::aggregate`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Reduce {
@@ -182,19 +184,18 @@ pub enum Reduce {
 /// Topology-only CSR over directed messages `src → dst`, grouped by
 /// destination, with the transposed layout precomputed.
 ///
-/// This is the operand of the generalized sparse kernel pair:
+/// This is the operand of two kernels:
 ///
 /// * **g-SpMM** ([`spmm_ew`](Self::spmm_ew) and friends): gather node
-///   features along incoming messages, scale by per-message weights, and
-///   reduce per destination — `out[d] = Σ_{m ∈ in(d)} w[m] · h[src[m]]`.
-/// * **g-SDDMM** ([`sddmm_dot`](Self::sddmm_dot) /
-///   [`sddmm_add`](Self::sddmm_add)): produce one scalar per message from
-///   the feature rows at its endpoints.
-///
-/// The two are adjoint: the backward pass of every g-SpMM is a transposed
-/// g-SpMM (for the node features) plus a g-SDDMM dot (for the message
-/// weights), and vice versa. The autograd layer leans on exactly that
-/// pairing.
+///   features along incoming messages, scale by fixed per-message weights,
+///   and reduce per destination — `out[d] = Σ_{m ∈ in(d)} w[m] · h[src[m]]`.
+///   Its adjoint for the features is the transposed g-SpMM
+///   ([`spmm_ew_t`](Self::spmm_ew_t)).
+/// * **Fused attention** (`gat_attention`, behind
+///   [`Tape::gat_attention`](crate::Tape::gat_attention)): one GAT head's
+///   per-message scores (g-SDDMM), softmax over each destination's
+///   messages and the attention-weighted g-SpMM, with its hand-written
+///   adjoint `gat_attention_backward`.
 ///
 /// Message ids are positions in the construction order, which callers use
 /// to attach per-message payloads (edge attributes, attention logits).
@@ -346,14 +347,6 @@ impl CsrGraph {
         self.indptr[d + 1] - self.indptr[d]
     }
 
-    /// Contiguous message range `(start, end)` per destination node — the
-    /// segment table consumed by per-destination softmax normalization.
-    pub fn dst_segments(&self) -> Vec<(usize, usize)> {
-        (0..self.num_nodes)
-            .map(|d| (self.indptr[d], self.indptr[d + 1]))
-            .collect()
-    }
-
     /// Per-message weight vector realizing a [`Reduce`] mode (cached).
     pub fn reduce_weights(&self, reduce: Reduce) -> Arc<Vec<f32>> {
         match reduce {
@@ -428,129 +421,6 @@ impl CsrGraph {
         out
     }
 
-    /// g-SDDMM (dot flavor): `out[m] = ⟨a[dst[m]], b[src[m]]⟩` → `[M, 1]`.
-    /// This is the adjoint of [`spmm_ew`](Self::spmm_ew) with respect to
-    /// the message weights.
-    pub fn sddmm_dot(&self, a_dst: &Matrix, b_src: &Matrix) -> Matrix {
-        assert_eq!(a_dst.rows(), self.num_nodes, "sddmm_dot: dst rows");
-        assert_eq!(b_src.rows(), self.num_nodes, "sddmm_dot: src rows");
-        assert_eq!(a_dst.cols(), b_src.cols(), "sddmm_dot: width mismatch");
-        let mut out = Matrix::zeros(self.num_messages(), 1);
-        self.run_edges(&mut out, a_dst.cols(), |m, slot| {
-            let ar = a_dst.row(self.dst[m] as usize);
-            let br = b_src.row(self.src[m] as usize);
-            slot[0] = ar.iter().zip(br.iter()).map(|(&x, &y)| x * y).sum();
-        });
-        out
-    }
-
-    /// g-SDDMM (dot flavor) against per-message rows:
-    /// `out[m] = ⟨a[dst[m]], x[m]⟩` where `x` is `[M, F]`.
-    pub fn sddmm_dot_edge(&self, a_dst: &Matrix, x: &Matrix) -> Matrix {
-        assert_eq!(a_dst.rows(), self.num_nodes, "sddmm_dot_edge: dst rows");
-        assert_eq!(x.rows(), self.num_messages(), "sddmm_dot_edge: msg rows");
-        assert_eq!(a_dst.cols(), x.cols(), "sddmm_dot_edge: width mismatch");
-        let mut out = Matrix::zeros(self.num_messages(), 1);
-        self.run_edges(&mut out, x.cols(), |m, slot| {
-            let ar = a_dst.row(self.dst[m] as usize);
-            let xr = x.row(m);
-            slot[0] = ar.iter().zip(xr.iter()).map(|(&a, &b)| a * b).sum();
-        });
-        out
-    }
-
-    /// g-SDDMM (add flavor): per-message score
-    /// `out[m] = dst_col[dst[m]] + src_col[src[m]] (+ edge_col[m])` over
-    /// `[N, 1]` endpoint columns and an optional `[M, 1]` message column —
-    /// the decomposed GAT attention logit.
-    pub fn sddmm_add(
-        &self,
-        src_col: &Matrix,
-        dst_col: &Matrix,
-        edge_col: Option<&Matrix>,
-    ) -> Matrix {
-        assert_eq!(src_col.shape(), (self.num_nodes, 1), "sddmm_add: src col");
-        assert_eq!(dst_col.shape(), (self.num_nodes, 1), "sddmm_add: dst col");
-        if let Some(e) = edge_col {
-            assert_eq!(e.shape(), (self.num_messages(), 1), "sddmm_add: edge col");
-        }
-        let mut out = Matrix::zeros(self.num_messages(), 1);
-        self.run_edges(&mut out, 1, |m, slot| {
-            let mut v = dst_col.data()[self.dst[m] as usize] + src_col.data()[self.src[m] as usize];
-            if let Some(e) = edge_col {
-                v += e.data()[m];
-            }
-            slot[0] = v;
-        });
-        out
-    }
-
-    /// Weighted per-message aggregation: `out[d] = Σ_{m ∈ in(d)} w[m] · x[m]`
-    /// where `x` is `[M, F]` — reduces message payloads (attended edge
-    /// attributes) instead of source-node features.
-    pub fn edge_aggregate(&self, w: &[f32], x: &Matrix) -> Matrix {
-        assert_eq!(w.len(), self.num_messages(), "edge_aggregate: weights");
-        assert_eq!(x.rows(), self.num_messages(), "edge_aggregate: msg rows");
-        let f = x.cols();
-        let mut out = Matrix::zeros(self.num_nodes, f);
-        let body = |d: usize, orow: &mut [f32]| {
-            let (lo, hi) = (self.indptr[d], self.indptr[d + 1]);
-            for (m, &wm) in (lo..hi).zip(&w[lo..hi]) {
-                let xr = x.row(m);
-                for (o, &xv) in orow.iter_mut().zip(xr.iter()) {
-                    *o += wm * xv;
-                }
-            }
-        };
-        run_rows(&mut out, f, self.num_messages() * f, body);
-        out
-    }
-
-    /// Broadcast destination rows back onto messages with per-message
-    /// scaling: `out[m] = w[m] · g[dst[m]]` → `[M, F]`. Adjoint of
-    /// [`edge_aggregate`](Self::edge_aggregate) for the payload.
-    pub fn expand_dst(&self, w: &[f32], g: &Matrix) -> Matrix {
-        assert_eq!(w.len(), self.num_messages(), "expand_dst: weights");
-        assert_eq!(g.rows(), self.num_nodes, "expand_dst: rows");
-        let f = g.cols();
-        let mut out = Matrix::zeros(self.num_messages(), f);
-        self.run_edges(&mut out, f, |m, orow| {
-            let wm = w[m];
-            for (o, &gv) in orow.iter_mut().zip(g.row(self.dst[m] as usize)) {
-                *o = wm * gv;
-            }
-        });
-        out
-    }
-
-    /// Scatter a `[M, 1]` message column onto sources:
-    /// `out[s] = Σ_{m ∈ out(s)} e[m]`.
-    pub fn scatter_src(&self, e: &Matrix) -> Matrix {
-        assert_eq!(e.shape(), (self.num_messages(), 1), "scatter_src: shape");
-        let mut out = Matrix::zeros(self.num_nodes, 1);
-        let body = |s: usize, orow: &mut [f32]| {
-            for k in self.t_indptr[s]..self.t_indptr[s + 1] {
-                orow[0] += e.data()[self.t_msg[k] as usize];
-            }
-        };
-        run_rows(&mut out, 1, self.num_messages(), body);
-        out
-    }
-
-    /// Scatter a `[M, 1]` message column onto destinations:
-    /// `out[d] = Σ_{m ∈ in(d)} e[m]`.
-    pub fn scatter_dst(&self, e: &Matrix) -> Matrix {
-        assert_eq!(e.shape(), (self.num_messages(), 1), "scatter_dst: shape");
-        let mut out = Matrix::zeros(self.num_nodes, 1);
-        let body = |d: usize, orow: &mut [f32]| {
-            for m in self.indptr[d]..self.indptr[d + 1] {
-                orow[0] += e.data()[m];
-            }
-        };
-        run_rows(&mut out, 1, self.num_messages(), body);
-        out
-    }
-
     /// Dense weighted adjacency `A[d, s] += w[m]` (test/reference helper).
     pub fn to_dense_adj(&self, w: &[f32]) -> Matrix {
         assert_eq!(w.len(), self.num_messages());
@@ -560,29 +430,6 @@ impl CsrGraph {
             a.set(d, s, a.get(d, s) + wm);
         }
         a
-    }
-
-    /// Run a per-message kernel over chunks of the `[M, F]` output. Every
-    /// output row depends on exactly one message, so chunking is safe and
-    /// bit-inert.
-    fn run_edges(&self, out: &mut Matrix, width: usize, body: impl Fn(usize, &mut [f32]) + Sync) {
-        let f = out.cols();
-        let rows_per_chunk = EDGE_CHUNK;
-        let work = self.num_messages() * width.max(1);
-        if work >= PAR_WORK {
-            out.data_mut()
-                .par_chunks_mut((rows_per_chunk * f).max(1))
-                .enumerate()
-                .for_each(|(ci, chunk)| {
-                    for (j, orow) in chunk.chunks_mut(f.max(1)).enumerate() {
-                        body(ci * rows_per_chunk + j, orow);
-                    }
-                });
-        } else {
-            for (m, orow) in out.data_mut().chunks_mut(f.max(1)).enumerate() {
-                body(m, orow);
-            }
-        }
     }
 }
 
@@ -751,54 +598,6 @@ mod tests {
         assert_eq!(sum.data(), &[3.0, 3.0, 4.0]);
         let mean = g.aggregate(&h, Reduce::Mean);
         assert_eq!(mean.data(), &[1.5, 3.0, 2.0]);
-    }
-
-    #[test]
-    fn csr_graph_sddmm_dot_and_add() {
-        let g = tiny_graph();
-        let a = Matrix::from_fn(3, 2, |r, c| (r + c) as f32);
-        let b = Matrix::from_fn(3, 2, |r, c| (2 * r + c) as f32);
-        let d = g.sddmm_dot(&a, &b);
-        // m0: dst 0, src 0 → ⟨[0,1],[0,1]⟩ = 1.
-        // m4: dst 2, src 2 → ⟨[2,3],[4,5]⟩ = 23.
-        assert_eq!(d.get(0, 0), 1.0);
-        assert_eq!(d.get(4, 0), 23.0);
-
-        let sc = Matrix::col_vector(&[10.0, 20.0, 30.0]);
-        let dc = Matrix::col_vector(&[1.0, 2.0, 3.0]);
-        let ec = Matrix::col_vector(&[0.1, 0.2, 0.3, 0.4, 0.5]);
-        let s = g.sddmm_add(&sc, &dc, Some(&ec));
-        // m1: src 1, dst 0 → 1 + 20 + 0.2 = 21.2.
-        assert!((s.get(1, 0) - 21.2).abs() < 1e-6);
-        let s2 = g.sddmm_add(&sc, &dc, None);
-        assert_eq!(s2.get(1, 0), 21.0);
-    }
-
-    #[test]
-    fn csr_graph_scatters_and_edge_aggregate() {
-        let g = tiny_graph();
-        let e = Matrix::col_vector(&[1.0, 2.0, 3.0, 4.0, 5.0]);
-        // out(s): s0 → {m0, m3}, s1 → {m1}, s2 → {m2, m4}.
-        assert_eq!(g.scatter_src(&e).data(), &[5.0, 2.0, 8.0]);
-        assert_eq!(g.scatter_dst(&e).data(), &[3.0, 3.0, 9.0]);
-
-        let x = Matrix::from_fn(5, 2, |r, _| r as f32);
-        let w = [1.0; 5];
-        let agg = g.edge_aggregate(&w, &x);
-        assert_eq!(agg.row(0), &[1.0, 1.0]); // m0 + m1 payloads: 0 + 1
-        assert_eq!(agg.row(2), &[7.0, 7.0]); // m3 + m4: 3 + 4
-        let back = g.expand_dst(&w, &agg);
-        assert_eq!(back.row(0), agg.row(0));
-        assert_eq!(back.row(2), agg.row(1));
-    }
-
-    #[test]
-    fn csr_graph_segments_cover_all_messages() {
-        let g = tiny_graph();
-        let segs = g.dst_segments();
-        assert_eq!(segs, vec![(0, 2), (2, 3), (3, 5)]);
-        assert_eq!(g.in_degree(0), 2);
-        assert_eq!(g.num_messages(), 5);
     }
 
     #[test]

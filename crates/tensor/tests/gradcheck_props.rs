@@ -6,7 +6,7 @@
 //! inputs bounded away from their non-differentiable sets.
 
 use amdgcnn_tensor::autograd::gradcheck::check_gradients;
-use amdgcnn_tensor::{Conv1dSpec, Matrix, ParamStore, Tape, Var};
+use amdgcnn_tensor::{Conv1dSpec, CsrGraph, Matrix, ParamStore, Tape, Var};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -181,17 +181,6 @@ proptest! {
             let s = t.scatter_add_rows(g, idx2.clone(), 4);
             let s2 = t.mul(s, s);
             t.mean_all(s2)
-        });
-    }
-
-    #[test]
-    fn grad_segment_softmax(x in mat(6, 1)) {
-        let segs = Arc::new(vec![(0usize, 2usize), (2, 3), (3, 6)]);
-        check1(x, move |t, v| {
-            let s = t.segment_softmax(v, segs.clone());
-            let w = t.leaf(Matrix::from_fn(6, 1, |r, _| (r as f32 - 2.5) * 0.8));
-            let p = t.mul(s, w);
-            t.mean_all(p)
         });
     }
 
@@ -392,4 +381,132 @@ fn grad_deep_composite() {
         let sq = t.mul(sum, sum);
         t.mean_all(sq)
     });
+}
+
+/// Messages of the attention checks, grouped by destination: a triangle
+/// 0-1-2 in both directions with self-loops, and node 3 whose only
+/// message is its self-loop.
+const ATTN_MSGS: [(u32, u32); 10] = [
+    (0, 0),
+    (1, 0),
+    (2, 0),
+    (0, 1),
+    (1, 1),
+    (2, 1),
+    (0, 2),
+    (1, 2),
+    (2, 2),
+    (3, 3),
+];
+
+/// Pre-activation attention logits of `ATTN_MSGS`, computed directly.
+fn attention_logits(hw: &Matrix, edge: Option<&Matrix>, attn: &Matrix) -> Vec<f32> {
+    let f = hw.cols();
+    let a = attn.data();
+    let dot = |row: &[f32], col: &[f32]| row.iter().zip(col).map(|(x, y)| x * y).sum::<f32>();
+    ATTN_MSGS
+        .iter()
+        .enumerate()
+        .map(|(m, &(s, d))| {
+            let z = dot(hw.row(d as usize), &a[..f]) + dot(hw.row(s as usize), &a[f..2 * f]);
+            z + edge.map_or(0.0, |e| dot(e.row(m), &a[2 * f..]))
+        })
+        .collect()
+}
+
+/// Finite-difference check of one fused attention head over `ATTN_MSGS`
+/// with `hw` and, when given, `edge` as parameters. The attention column
+/// is a parameter too unless `attn_leaf`. The loss weighs each output
+/// entry differently so no symmetry hides a wrong gradient.
+fn check_attention(hw: Matrix, edge: Option<Matrix>, attn: Matrix, attn_leaf: bool) {
+    let graph = Arc::new(CsrGraph::from_messages(4, &ATTN_MSGS));
+    let f = hw.cols();
+    let mut params = ParamStore::new();
+    let ih = params.register("hw", hw);
+    let ie = edge.map(|e| params.register("edge", e));
+    let ia = (!attn_leaf).then(|| params.register("attn", attn.clone()));
+    let res = check_gradients(
+        &params,
+        |tape, ps| {
+            let h = tape.param(ih, ps.get(ih).clone());
+            let e = ie.map(|id| tape.param(id, ps.get(id).clone()));
+            let a = match ia {
+                Some(id) => tape.param(id, ps.get(id).clone()),
+                None => tape.leaf(attn.clone()),
+            };
+            let y = tape.gat_attention(graph.clone(), h, e, a, 0.2);
+            let w = tape.leaf(Matrix::from_fn(4, f, |r, c| (r * 3 + c) as f32 * 0.3 - 1.1));
+            let p = tape.mul(y, w);
+            tape.mean_all(p)
+        },
+        EPS,
+        TOL,
+    );
+    if let Err(e) = res {
+        panic!("gradient mismatch: {e}");
+    }
+}
+
+/// Logits at least `margin` from the LeakyReLU's kink, on both sides of
+/// it, so a finite-difference step never crosses it.
+fn both_sides(z: &[f32], margin: f32) -> bool {
+    z.iter().all(|v| v.abs() >= margin) && z.iter().any(|&v| v > 0.0) && z.iter().any(|&v| v < 0.0)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn grad_gat_attention_without_edges_width_1(hw in mat(4, 1), attn in mat(2, 1)) {
+        prop_assume!(both_sides(&attention_logits(&hw, None, &attn), 0.1));
+        check_attention(hw, None, attn, false);
+    }
+
+    #[test]
+    fn grad_gat_attention_without_edges_width_3(hw in mat(4, 3), attn in mat(6, 1)) {
+        prop_assume!(both_sides(&attention_logits(&hw, None, &attn), 0.1));
+        check_attention(hw, None, attn, false);
+    }
+
+    #[test]
+    fn grad_gat_attention_with_edges_width_1(
+        hw in mat(4, 1),
+        edge in mat(10, 1),
+        attn in mat(3, 1),
+    ) {
+        prop_assume!(both_sides(&attention_logits(&hw, Some(&edge), &attn), 0.1));
+        check_attention(hw, Some(edge), attn, false);
+    }
+
+    #[test]
+    fn grad_gat_attention_with_edges_width_3(
+        hw in mat(4, 3),
+        edge in mat(10, 3),
+        attn in mat(9, 1),
+    ) {
+        prop_assume!(both_sides(&attention_logits(&hw, Some(&edge), &attn), 0.1));
+        check_attention(hw, Some(edge), attn, false);
+    }
+
+    /// Logits in the thousands: `exp` overflows unless the softmax
+    /// subtracts each destination's max first. The edge score dominates
+    /// (`a_e = [1000, 0]` against spread first edge channels), so every
+    /// destination's best logit is hundreds above the rest, the weights
+    /// are one-hot and the gradient flows through the aggregation alone.
+    /// The attention column is a constant here: a finite-difference step
+    /// on an entry this large would move the logits by more than the gaps.
+    #[test]
+    fn grad_gat_attention_huge_logits(hw in mat(4, 2), edge_col in mat(10, 1), a in mat(4, 1)) {
+        let spread = [0.9, -0.6, 0.3, -1.2, 1.5, -0.3, 0.6, -0.9, 1.2, 0.45];
+        let edge = Matrix::from_fn(10, 2, |r, c| if c == 0 { spread[r] } else { edge_col.get(r, 0) });
+        let attn = Matrix::from_fn(6, 1, |r, _| match r {
+            0..4 => a.get(r, 0),
+            4 => 1.0e3,
+            _ => 0.0,
+        });
+        let z = attention_logits(&hw, Some(&edge), &attn);
+        prop_assert!(both_sides(&z, 100.0));
+        prop_assert!(z.iter().any(|v| v.abs() > 1.0e3), "exp would overflow unshifted");
+        check_attention(hw, Some(edge), attn, true);
+    }
 }

@@ -1,10 +1,12 @@
 //! Property-based validation of the sparse message-passing kernels
-//! (g-SpMM, g-SDDMM, edge aggregation) against dense references built from
-//! independently gradcheck-verified ops (gather / scatter / broadcast).
+//! against references built another way on random graphs.
 //!
-//! Each property runs the same loss through the fused kernel path and the
-//! reference path on a random graph, then compares the forward value AND
-//! every parameter gradient to within 1e-5.
+//! The static g-SpMM runs the same loss through the kernel and through
+//! independently gradcheck-verified ops (gather / broadcast / scatter),
+//! comparing the forward value AND every parameter gradient to within
+//! 1e-5. The fused GAT attention op's forward is compared with a plain
+//! per-message gather, per-destination softmax and scatter; its gradients
+//! are finite-difference checked in `gradcheck_props.rs`.
 
 use amdgcnn_tensor::{CsrGraph, Matrix, ParamId, ParamStore, Tape, Var};
 use proptest::prelude::*;
@@ -81,31 +83,6 @@ fn indices(ids: &[u32]) -> Arc<Vec<usize>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// g-SpMM with learnable edge weights: kernel vs
-    /// gather → weight-broadcast → scatter-add.
-    #[test]
-    fn gspmm_matches_gather_scatter((n, msgs) in graph(), feat in 1usize..4) {
-        let g = Arc::new(CsrGraph::from_messages(n, &msgs));
-        let src = indices(g.src_ids());
-        let dst = indices(g.dst_ids());
-        let m = g.num_messages();
-
-        // Deterministic pseudo-random parameter values derived from shape.
-        let h = Matrix::from_fn(n, feat, |r, c| ((r * 7 + c * 3) as f32 * 0.37).sin());
-        let w = Matrix::from_fn(m, 1, |r, _| ((r * 5 + 1) as f32 * 0.53).cos());
-        let mut params = ParamStore::new();
-        params.register("w", w);
-        params.register("h", h);
-
-        let kernel = run(&params, |t, vars| t.gspmm(g.clone(), vars[0], vars[1]));
-        let reference = run(&params, |t, vars| {
-            let gathered = t.gather_rows(vars[1], src.clone());
-            let weighted = t.mul_col_broadcast(gathered, vars[0]);
-            t.scatter_add_rows(weighted, dst.clone(), n)
-        });
-        assert_close(&kernel, &reference);
-    }
-
     /// g-SpMM with static weights: kernel vs the same reference with the
     /// weight column as a constant leaf (gradient flows to features only).
     #[test]
@@ -132,49 +109,60 @@ proptest! {
         assert_close(&kernel, &reference);
     }
 
-    /// g-SDDMM (add): kernel vs gather(src) + gather(dst) + edge column.
+    /// Fused GAT attention vs a plain reference: per message the logit
+    /// `a_dst·hw[dst] + a_src·hw[src] + a_e·e[m]` and its LeakyReLU, per
+    /// destination the max-subtracted softmax over the messages gathered
+    /// by destination, then the α-weighted `hw[src] + e[m]` scattered onto
+    /// the destination. Destinations with no message stay zero.
     #[test]
-    fn edge_score_matches_gather_add((n, msgs) in graph()) {
+    fn gat_attention_matches_gather_softmax_scatter(
+        (n, msgs) in graph(),
+        feat in 1usize..4,
+        with_edge in proptest::bool::ANY,
+        seed in 0u32..1000,
+    ) {
         let g = Arc::new(CsrGraph::from_messages(n, &msgs));
-        let src = indices(g.src_ids());
-        let dst = indices(g.dst_ids());
         let m = g.num_messages();
+        let val = |i: usize| ((i as f32 + seed as f32) * 0.731).sin() * 1.5;
+        let hw = Matrix::from_fn(n, feat, |r, c| val(r * 7 + c * 3));
+        let edge = Matrix::from_fn(m, feat, |r, c| val(r * 5 + c + 101));
+        let width = if with_edge { 3 * feat } else { 2 * feat };
+        let attn = Matrix::from_fn(width, 1, |r, _| val(r * 11 + 57));
+        let slope = 0.2f32;
 
-        let mut params = ParamStore::new();
-        params.register("s_src", Matrix::from_fn(n, 1, |r, _| ((r * 3 + 1) as f32 * 0.41).sin()));
-        params.register("s_dst", Matrix::from_fn(n, 1, |r, _| ((r * 11 + 2) as f32 * 0.23).cos()));
-        params.register("s_edge", Matrix::from_fn(m, 1, |r, _| ((r * 13 + 3) as f32 * 0.19).sin()));
+        let mut tape = Tape::new();
+        let hv = tape.leaf(hw.clone());
+        let ev = with_edge.then(|| tape.leaf(edge.clone()));
+        let av = tape.leaf(attn.clone());
+        let out = tape.gat_attention(g.clone(), hv, ev, av, slope);
 
-        let kernel = run(&params, |t, vars| {
-            t.edge_score(g.clone(), vars[0], vars[1], Some(vars[2]))
-        });
-        let reference = run(&params, |t, vars| {
-            let from_src = t.gather_rows(vars[0], src.clone());
-            let from_dst = t.gather_rows(vars[1], dst.clone());
-            let sum = t.add(from_src, from_dst);
-            t.add(sum, vars[2])
-        });
-        assert_close(&kernel, &reference);
-    }
-
-    /// Edge aggregation of per-message payload rows: kernel vs
-    /// weight-broadcast → scatter-add.
-    #[test]
-    fn edge_aggregate_matches_scatter((n, msgs) in graph(), feat in 1usize..4) {
-        let g = Arc::new(CsrGraph::from_messages(n, &msgs));
-        let dst = indices(g.dst_ids());
-        let m = g.num_messages();
-
-        let mut params = ParamStore::new();
-        params.register("w", Matrix::from_fn(m, 1, |r, _| ((r * 5 + 1) as f32 * 0.53).cos()));
-        params.register("x", Matrix::from_fn(m, feat, |r, c| ((r * 7 + c * 3 + 4) as f32 * 0.31).sin()));
-
-        let kernel = run(&params, |t, vars| t.edge_aggregate(g.clone(), vars[0], vars[1]));
-        let reference = run(&params, |t, vars| {
-            let weighted = t.mul_col_broadcast(vars[1], vars[0]);
-            t.scatter_add_rows(weighted, dst.clone(), n)
-        });
-        assert_close(&kernel, &reference);
+        let a = attn.data();
+        let dot = |row: &[f32], col: &[f32]| row.iter().zip(col).map(|(x, y)| x * y).sum::<f32>();
+        let logit: Vec<f32> = (0..m)
+            .map(|k| {
+                let (s, d) = (g.src_ids()[k] as usize, g.dst_ids()[k] as usize);
+                let mut z = dot(hw.row(d), &a[..feat]) + dot(hw.row(s), &a[feat..2 * feat]);
+                if with_edge {
+                    z += dot(edge.row(k), &a[2 * feat..]);
+                }
+                if z > 0.0 { z } else { slope * z }
+            })
+            .collect();
+        let mut reference = Matrix::zeros(n, feat);
+        for d in 0..n {
+            let incoming: Vec<usize> = (0..m).filter(|&k| g.dst_ids()[k] as usize == d).collect();
+            let top = incoming.iter().map(|&k| logit[k]).fold(f32::NEG_INFINITY, f32::max);
+            let total: f32 = incoming.iter().map(|&k| (logit[k] - top).exp()).sum();
+            for &k in &incoming {
+                let alpha = (logit[k] - top).exp() / total;
+                let s = g.src_ids()[k] as usize;
+                for c in 0..feat {
+                    let payload = hw.get(s, c) + if with_edge { edge.get(k, c) } else { 0.0 };
+                    reference.set(d, c, reference.get(d, c) + alpha * payload);
+                }
+            }
+        }
+        prop_assert!(max_abs_diff(tape.value(out), &reference) <= TOL);
     }
 
     /// Forward values of g-SpMM also match the fully dense adjacency

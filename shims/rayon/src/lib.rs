@@ -3,19 +3,37 @@
 //! The build environment has no crates.io access, so this crate provides the
 //! parallel-iterator surface the workspace uses — `par_iter`,
 //! `into_par_iter`, `par_chunks_mut`, `chunks`, thread pools, `join` — with
-//! **sequential** execution. Every consumer in the workspace already
-//! guarantees order-independent results (ordered reductions, per-sample
-//! tapes), so the sequential semantics are observationally identical; on the
-//! single-core machines this repo targets today they are also just as fast.
+//! **sequential** execution. Inside [`ThreadPool::install`],
+//! [`current_num_threads`] reports the installed pool's size, as rayon
+//! does, so code that sizes its work by the thread count sees the count it
+//! would see under real rayon.
+//!
+//! Sequential execution hides any dependence of a result on how work is
+//! split, so the workspace's kernels keep that dependence out by
+//! construction: every `par_*` consumer splits only over independent
+//! outputs (rows, messages, samples) and reduces in index order, and none
+//! of them sums partial results whose boundaries follow the thread count.
 //! Swapping back to real rayon is a one-line change in the workspace
 //! manifest.
 
 #![warn(missing_docs)]
 
-/// Number of worker threads the "pool" would use. Reports the machine's
-/// available parallelism so chunk-size heuristics stay sensible.
+use std::cell::Cell;
+
+thread_local! {
+    /// Size of the pool whose [`ThreadPool::install`] is running on this
+    /// thread (0 outside any pool).
+    static INSTALLED: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Number of worker threads the current pool would use: the installed
+/// pool's size inside [`ThreadPool::install`], and the machine's available
+/// parallelism (the global pool's size) outside it.
 pub fn current_num_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    match INSTALLED.with(Cell::get) {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
+    }
 }
 
 /// Run two closures (sequentially here) and return both results.
@@ -77,8 +95,17 @@ pub struct ThreadPool {
 }
 
 impl ThreadPool {
-    /// Run `op` "inside" the pool.
+    /// Run `op` "inside" the pool: [`current_num_threads`] reports this
+    /// pool's size until `op` returns or unwinds.
     pub fn install<R>(&self, op: impl FnOnce() -> R) -> R {
+        /// Restores the enclosing pool's size on drop.
+        struct Restore(usize);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                INSTALLED.with(|c| c.set(self.0));
+            }
+        }
+        let _restore = Restore(INSTALLED.with(|c| c.replace(self.num_threads)));
         op()
     }
 
@@ -273,6 +300,27 @@ mod tests {
             .expect("pool");
         assert_eq!(pool.current_num_threads(), 3);
         assert_eq!(pool.install(|| 41 + 1), 42);
+    }
+
+    #[test]
+    fn install_reports_the_pool_size_and_restores_it() {
+        let outer = super::current_num_threads();
+        let pool = |n| {
+            super::ThreadPoolBuilder::new()
+                .num_threads(n)
+                .build()
+                .expect("pool")
+        };
+        let (one, four) = (pool(1), pool(4));
+        let nested = four.install(|| {
+            let inner = one.install(super::current_num_threads);
+            (super::current_num_threads(), inner)
+        });
+        assert_eq!(nested, (4, 1));
+        assert_eq!(super::current_num_threads(), outer);
+        let unwound = std::panic::catch_unwind(|| four.install(|| panic!("inside the pool")));
+        assert!(unwound.is_err());
+        assert_eq!(super::current_num_threads(), outer);
     }
 
     #[test]

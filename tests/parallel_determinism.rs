@@ -1,12 +1,24 @@
-//! The trainer's headline concurrency claim: gradients are computed in
-//! parallel but reduced in sample order, so results are bit-for-bit
-//! identical regardless of how many rayon workers run — the "data-race
-//! freedom plus determinism" property the HPC design leans on.
+//! The trainer's headline concurrency claim: results are bit-for-bit
+//! identical however many rayon workers run. Work fans out only over
+//! independent outputs (samples, rows, messages) and every reduction runs
+//! in index order, so no sum's grouping follows the thread count.
+//!
+//! The offline rayon shim runs everything on the calling thread, but
+//! inside `ThreadPool::install` it reports the installed pool's size as
+//! rayon does. So a kernel that sized its split by the thread count would
+//! still sum differently under pools of 1 and 4, and these tests would
+//! catch it. The second training case uses hidden width 32, so each
+//! layer's weight gradient `hᵀ·dZ` over a 16-sample minibatch (about 700
+//! rows) crosses `matmul::PAR_FLOP_THRESHOLD` and takes the parallel path.
 
 use am_dgcnn::{predict_probs, Experiment, GnnKind, Hyperparams, TrainConfig};
 use amdgcnn_data::{wn18_like, Wn18Config};
 
-fn train_losses_and_probs(threads: usize) -> (Vec<f32>, Vec<f32>) {
+fn train_losses_and_probs(
+    threads: usize,
+    hidden_dim: usize,
+    epochs: usize,
+) -> (Vec<f32>, Vec<f32>) {
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(threads)
         .build()
@@ -17,7 +29,7 @@ fn train_losses_and_probs(threads: usize) -> (Vec<f32>, Vec<f32>) {
             GnnKind::am_dgcnn(),
             Hyperparams {
                 lr: 5e-3,
-                hidden_dim: 8,
+                hidden_dim,
                 sort_k: 10,
             },
             17,
@@ -30,7 +42,12 @@ fn train_losses_and_probs(threads: usize) -> (Vec<f32>, Vec<f32>) {
         let mut session = exp.session(&ds, None).expect("session");
         session
             .trainer
-            .train(&session.model, &mut session.ps, &session.train_samples, 3)
+            .train(
+                &session.model,
+                &mut session.ps,
+                &session.train_samples,
+                epochs,
+            )
             .expect("train");
         let losses = session.trainer.history.iter().map(|e| e.loss).collect();
         let probs = predict_probs(&session.model, &session.ps, &session.test_samples);
@@ -40,8 +57,16 @@ fn train_losses_and_probs(threads: usize) -> (Vec<f32>, Vec<f32>) {
 
 #[test]
 fn training_is_identical_across_thread_counts() {
-    let (l1, p1) = train_losses_and_probs(1);
-    let (l4, p4) = train_losses_and_probs(4);
+    let (l1, p1) = train_losses_and_probs(1, 8, 3);
+    let (l4, p4) = train_losses_and_probs(4, 8, 3);
+    assert_eq!(l1, l4, "loss history must not depend on worker count");
+    assert_eq!(p1, p4, "predictions must not depend on worker count");
+}
+
+#[test]
+fn training_above_the_parallel_threshold_is_identical_across_thread_counts() {
+    let (l1, p1) = train_losses_and_probs(1, 32, 2);
+    let (l4, p4) = train_losses_and_probs(4, 32, 2);
     assert_eq!(l1, l4, "loss history must not depend on worker count");
     assert_eq!(p1, p4, "predictions must not depend on worker count");
 }
