@@ -1,5 +1,10 @@
 //! Durable training-state checkpoints and generation-numbered checkpoint
-//! directories — the crash-safety layer under [`crate::pipeline`].
+//! directories — the one way to save and resume a training run.
+//! [`Trainer::snapshot`](crate::Trainer::snapshot) captures a
+//! [`TrainState`], [`CheckpointDir::save`] writes it as a generation,
+//! [`CheckpointDir::latest`] reads the newest intact one back, and
+//! [`Trainer::restore`](crate::Trainer::restore) checks it and resumes
+//! from it (see the example on [`CheckpointDir`]).
 //!
 //! A [`TrainState`] is everything needed to resume a training run so that
 //! the resumed run is **bit-identical** to an uninterrupted one: the
@@ -195,6 +200,32 @@ fn moments_from(section: &[u8]) -> io::Result<Vec<Option<Matrix>>> {
 /// instant the directory still yields the newest fully committed
 /// generation. [`save`](Self::save) never deletes the previous generation
 /// before the new one is durably in place.
+///
+/// Resume from the newest intact generation, then train one epoch at a
+/// time and save after each. A crash loses at most the epoch in flight,
+/// and the resumed run is bit-identical to one that never stopped:
+///
+/// ```no_run
+/// use am_dgcnn::{CheckpointDir, Experiment};
+/// use amdgcnn_data::{wn18_like, Wn18Config};
+///
+/// # fn main() -> am_dgcnn::error::Result<()> {
+/// let ds = wn18_like(&Wn18Config::tiny());
+/// let exp = Experiment::builder().seed(7).build();
+/// let mut s = exp.session(&ds, None)?;
+/// let dir = CheckpointDir::create("ckpts")?;
+/// // An empty directory starts fresh; a generation from another run is
+/// // refused with `Error::ResumeMismatch`.
+/// if let Some((_generation, state)) = dir.latest()? {
+///     s.trainer.restore(&state, &mut s.ps)?;
+/// }
+/// while s.trainer.epochs_done() < 10 {
+///     s.trainer.train(&s.model, &mut s.ps, &s.train_samples, 1)?;
+///     dir.save(&s.trainer.snapshot(&s.ps), 2, None)?;
+/// }
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug, Clone)]
 pub struct CheckpointDir {
     dir: PathBuf,

@@ -55,9 +55,10 @@ pub enum Error {
         /// Human-readable description of the failure.
         detail: String,
     },
-    /// A checkpoint loaded cleanly but does not belong to this experiment
-    /// (different seed, parameter names, or shapes) — resuming from it
-    /// would silently change the run.
+    /// A checkpoint loaded cleanly but does not fit this experiment
+    /// (different seed, parameter names, or shapes; Adam moments that do
+    /// not match the parameters; non-finite values) — resuming from it
+    /// would silently change the run or crash its next step.
     ResumeMismatch {
         /// Human-readable description of the mismatch.
         detail: String,

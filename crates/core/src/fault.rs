@@ -187,10 +187,11 @@ impl FaultInjector {
     }
 
     /// Decide the durability fault (if any) for the next durable write and
-    /// advance the save counter. Wired through the disk checkpoint path
-    /// (`am_dgcnn::checkpoint`, `amdgcnn_serve::save_model_file`), so every
-    /// crash-recovery branch is reachable deterministically. Precedence on
-    /// a collision: torn write > bit flip > partial flush.
+    /// advance the save counter. [`crate::Experiment::session`] asks it
+    /// before flushing the sample store; callers of the writers that take
+    /// a [`DiskFault`] argument (`CheckpointDir::save`,
+    /// `amdgcnn_serve::save_model_file`) may pass its answer too.
+    /// Precedence on a collision: torn write > bit flip > partial flush.
     pub fn next_disk_fault(&self) -> Option<DiskFault> {
         let save = self.saves.fetch_add(1, Ordering::Relaxed) + 1;
         let p = &self.plan;

@@ -35,16 +35,13 @@ pub use fault::{EngineFault, FaultInjector, FaultPlan, TransientFault};
 pub use features::FeatureConfig;
 pub use model::{DgcnnModel, GnnKind, ModelConfig};
 pub use pipeline::{
-    evaluate_model, CheckpointPolicy, EvalMetrics, Experiment, ExperimentBuilder, Hyperparams,
-    Session,
+    evaluate_model, EvalMetrics, Experiment, ExperimentBuilder, Hyperparams, Session,
 };
 pub use sample::{
     message_graph_for, message_graph_from_messages, prepare_batch, prepare_batch_obs,
     prepare_sample, prepare_sample_obs, PreparedSample, SampleTimers,
 };
 pub use store::{SampleStore, StoreKey};
-pub use train::{
-    predict_probs, DivergenceCause, RecoveryEvent, TrainConfig, Trainer, WatchdogConfig,
-};
+pub use train::{predict_probs, DivergenceCause, RecoveryEvent, TrainConfig, Trainer};
 
 pub use amdgcnn_obs as obs;

@@ -2,7 +2,6 @@
 //! model → metrics. This is the API the paper's tables and figures are
 //! regenerated through (crates/bench) and the entry point for examples.
 
-use crate::checkpoint::CheckpointDir;
 use crate::error::{Error, Result};
 use crate::fault::FaultInjector;
 use crate::features::FeatureConfig;
@@ -18,20 +17,6 @@ use rand::{rngs::StdRng, SeedableRng};
 use serde::Serialize;
 use std::path::PathBuf;
 use std::sync::Arc;
-
-/// Checkpoint generations an [`Experiment`] retains: two, so a torn
-/// newest generation always leaves a fallback.
-const KEEP_GENERATIONS: usize = 2;
-
-/// Durable-checkpointing policy for an [`Experiment`].
-#[derive(Debug, Clone)]
-pub struct CheckpointPolicy {
-    /// Directory holding the generation-numbered checkpoint files.
-    pub dir: PathBuf,
-    /// Save a [`crate::checkpoint::TrainState`] every this many epochs
-    /// (clamped to at least 1).
-    pub every: usize,
-}
 
 /// The tunable hyperparameters of Table I.
 #[derive(Debug, Clone, Copy, Serialize, PartialEq)]
@@ -75,11 +60,6 @@ pub struct Experiment {
     pub hyper: Hyperparams,
     /// Training settings (epochs are driven by the runner methods).
     pub train: TrainConfig,
-    /// Durable checkpointing (None disables).
-    pub checkpoint: Option<CheckpointPolicy>,
-    /// When true, [`Experiment::session`] restores the newest loadable
-    /// generation from [`CheckpointPolicy::dir`] before returning.
-    pub resume: bool,
     /// Deterministic fault injector attached to sessions (testing hook).
     pub injector: Option<Arc<FaultInjector>>,
     /// Observability registry threaded into sessions (disabled by
@@ -112,8 +92,6 @@ pub struct ExperimentBuilder {
     gnn: GnnKind,
     hyper: Hyperparams,
     train: TrainConfig,
-    checkpoint: Option<CheckpointPolicy>,
-    resume: bool,
     injector: Option<Arc<FaultInjector>>,
     obs: Obs,
     store: Option<PathBuf>,
@@ -130,8 +108,6 @@ impl Default for ExperimentBuilder {
                 ..Default::default()
             },
             hyper,
-            checkpoint: None,
-            resume: false,
             injector: None,
             obs: Obs::disabled(),
             store: None,
@@ -167,55 +143,18 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Divergence-watchdog policy (rollback retries, LR backoff); on by
-    /// default with [`crate::train::WatchdogConfig::default`].
-    pub fn watchdog(mut self, watchdog: crate::train::WatchdogConfig) -> Self {
-        self.train.watchdog = watchdog;
-        self
-    }
-
-    /// Durably checkpoint the training state to `dir` every `every` epochs
-    /// (crash-safe: temp + fsync + atomic rename, checksummed,
-    /// generation-numbered — see [`crate::checkpoint`]). The two newest
-    /// generations are kept.
-    pub fn checkpoint_to(mut self, dir: impl Into<PathBuf>, every: usize) -> Self {
-        self.checkpoint = Some(CheckpointPolicy {
-            dir: dir.into(),
-            every: every.max(1),
-        });
-        self
-    }
-
-    /// Resume from the newest loadable checkpoint generation in `dir`
-    /// (and keep checkpointing there). A directory with no checkpoints
-    /// starts fresh; a directory where every generation is corrupt is an
-    /// error at [`Experiment::session`] time. Because the trainer's RNG
-    /// streams are pure functions of `(seed, epoch, sample)`, the resumed
-    /// run is bit-identical to one that never stopped.
-    pub fn resume_from(mut self, dir: impl Into<PathBuf>) -> Self {
-        let dir = dir.into();
-        match &mut self.checkpoint {
-            Some(policy) => policy.dir = dir,
-            None => {
-                self.checkpoint = Some(CheckpointPolicy { dir, every: 1 });
-            }
-        }
-        self.resume = true;
-        self
-    }
-
     /// Attach a deterministic fault injector to sessions built from this
-    /// experiment (testing hook: schedules NaN losses, checkpoint
-    /// corruption, and disk faults on checkpoint writes).
+    /// experiment (testing hook: schedules NaN losses, corruption of the
+    /// watchdog's rollback snapshot, and disk faults on the sample-store
+    /// flush).
     pub fn fault_injector(mut self, injector: Arc<FaultInjector>) -> Self {
         self.injector = Some(injector);
         self
     }
 
     /// Persist tensorized samples to the `AMSS` file at `path` and reuse
-    /// them on later sessions (including
-    /// [`resume_from`](ExperimentBuilder::resume_from) and tuning trials
-    /// over the same data): a warm store skips k-hop extraction, DRNL
+    /// them on later sessions over the same data (a resumed run, a repeated
+    /// trial): a warm store skips k-hop extraction, DRNL
     /// labeling, and feature construction entirely, bit-identically. The
     /// store is keyed by dataset digest + [`FeatureConfig`] fingerprint +
     /// graph generation; a stale store fails the session with
@@ -235,8 +174,7 @@ impl ExperimentBuilder {
     }
 
     /// Record per-stage spans (sample preparation, k-hop, DRNL,
-    /// tensorization, train forward/backward/optimizer, checkpoint I/O,
-    /// evaluation) into `obs`. Observation never feeds back into the
+    /// tensorization, train forward/backward/optimizer, evaluation) into `obs`. Observation never feeds back into the
     /// computation, so results are bit-identical with or without it.
     pub fn observe(mut self, obs: Obs) -> Self {
         self.obs = obs;
@@ -249,8 +187,6 @@ impl ExperimentBuilder {
             gnn: self.gnn,
             hyper: self.hyper,
             train: self.train,
-            checkpoint: self.checkpoint,
-            resume: self.resume,
             injector: self.injector,
             obs: self.obs,
             store: self.store,
@@ -290,19 +226,13 @@ impl Experiment {
             .expect("one checkpoint requested"))
     }
 
-    /// Build a reusable session (prepared samples + fresh model). When the
-    /// experiment was built with
-    /// [`resume_from`](ExperimentBuilder::resume_from), the newest loadable
-    /// checkpoint generation is restored into the session before it is
-    /// returned.
+    /// Build a reusable session (prepared samples + fresh model). To resume
+    /// a run, restore a saved generation into the session's trainer (see
+    /// [`CheckpointDir`](crate::checkpoint::CheckpointDir)).
     ///
     /// # Errors
     /// - [`Error::SubsetTooLarge`] when `train_subset` exceeds the training
     ///   split.
-    /// - [`Error::CheckpointIo`] when resuming and checkpoint files exist
-    ///   but none loads cleanly.
-    /// - [`Error::ResumeMismatch`] when a checkpoint loads but belongs to a
-    ///   different experiment (seed or parameter shapes differ).
     /// - [`Error::StoreMismatch`] when a configured sample store belongs to
     ///   different data, features, or graph generation (stale stores are
     ///   refused, never silently reused); [`Error::StoreCorrupt`] /
@@ -355,24 +285,6 @@ impl Experiment {
         if let Some(inj) = &self.injector {
             session.trainer.attach_fault_injector(inj.clone());
         }
-        if self.resume {
-            let policy = self
-                .checkpoint
-                .as_ref()
-                .ok_or_else(|| Error::CheckpointIo {
-                    detail: "resume requested without a checkpoint directory".into(),
-                })?;
-            let restore_span = self.obs.span("pipeline/checkpoint/restore");
-            let dir = CheckpointDir::create(&policy.dir)?;
-            if let Some((generation, state)) = dir.latest()? {
-                session.trainer.restore(&state, &mut session.ps)?;
-                let epochs = state.epochs_done;
-                self.obs.event("pipeline/checkpoint/restore", || {
-                    format!("resumed generation {generation} at epoch {epochs}")
-                });
-            }
-            restore_span.finish();
-        }
         Ok(session)
     }
 
@@ -397,58 +309,18 @@ impl Experiment {
                     requested: target,
                 });
             }
-            match &self.checkpoint {
-                None => {
-                    let additional = target - session.trainer.epochs_done();
-                    if additional > 0 {
-                        session.trainer.train(
-                            &session.model,
-                            &mut session.ps,
-                            &session.train_samples,
-                            additional,
-                        )?;
-                    }
-                }
-                Some(policy) => {
-                    // Train in chunks aligned to the checkpoint cadence so a
-                    // crash at any instant loses at most `every - 1` epochs.
-                    let every = policy.every.max(1);
-                    while session.trainer.epochs_done() < target {
-                        let done = session.trainer.epochs_done();
-                        let next_save = (done / every + 1) * every;
-                        let step = next_save.min(target) - done;
-                        session.trainer.train(
-                            &session.model,
-                            &mut session.ps,
-                            &session.train_samples,
-                            step,
-                        )?;
-                        if session.trainer.epochs_done().is_multiple_of(every) {
-                            self.save_checkpoint(&session, policy)?;
-                        }
-                    }
-                }
+            let additional = target - session.trainer.epochs_done();
+            if additional > 0 {
+                session.trainer.train(
+                    &session.model,
+                    &mut session.ps,
+                    &session.train_samples,
+                    additional,
+                )?;
             }
             out.push(session.evaluate());
         }
         Ok(out)
-    }
-
-    /// Durably write the session's current [`crate::checkpoint::TrainState`]
-    /// as a new generation, consulting the fault injector for a scheduled
-    /// disk fault (testing hook; `None` in production).
-    fn save_checkpoint(&self, session: &Session, policy: &CheckpointPolicy) -> Result<()> {
-        let save_span = self.obs.span("pipeline/checkpoint/save");
-        let dir = CheckpointDir::create(&policy.dir)?;
-        let state = session.trainer.snapshot(&session.ps);
-        let fault = self.injector.as_ref().and_then(|inj| inj.next_disk_fault());
-        dir.save(&state, KEEP_GENERATIONS, fault)?;
-        save_span.finish();
-        let epochs = session.trainer.epochs_done();
-        self.obs.event("pipeline/checkpoint/save", || {
-            format!("saved at epoch {epochs}")
-        });
-        Ok(())
     }
 }
 

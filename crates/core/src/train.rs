@@ -19,39 +19,16 @@ use rand::{rngs::StdRng, SeedableRng};
 use rayon::prelude::*;
 use std::sync::Arc;
 
-/// Divergence-watchdog settings: what the trainer does when an epoch
-/// produces a non-finite loss or non-finite gradients. The watchdog is
-/// always on.
-///
-/// On divergence the watchdog rolls the parameters and optimizer state back
-/// to the checkpoint taken at the start of the epoch and retries. The
-/// *first* retry replays the epoch unchanged — transient glitches (an
-/// injected fault, a flipped bit, a racy read) need no mitigation, and an
-/// unchanged replay keeps a recovered run bit-identical to an uninterrupted
-/// one. From the second retry on, the learning rate is multiplied by
-/// `lr_backoff` per additional attempt, damping genuine numerical
-/// divergence. The budget is bounded: exhausting `max_retries` returns
-/// [`Error::Diverged`].
-#[derive(Debug, Clone, Copy)]
-pub struct WatchdogConfig {
-    /// Rollback retries allowed per epoch before giving up.
-    pub max_retries: usize,
-    /// Learning-rate factor applied per retry after the first.
-    pub lr_backoff: f32,
-}
-
-impl Default for WatchdogConfig {
-    fn default() -> Self {
-        Self {
-            max_retries: 3,
-            lr_backoff: 0.5,
-        }
-    }
-}
-
 /// Global-norm bound every minibatch gradient is clipped to before the
 /// optimizer step.
 const GRAD_CLIP: f32 = 5.0;
+
+/// Divergence-watchdog rollback retries allowed per epoch before
+/// [`Trainer::train`] gives up with [`Error::Diverged`].
+const MAX_RETRIES: usize = 3;
+
+/// Learning-rate factor the watchdog applies per retry after the first.
+const LR_BACKOFF: f32 = 0.5;
 
 /// Training parameters. The number of epochs is an argument of
 /// [`Trainer::train`], not a setting.
@@ -63,8 +40,6 @@ pub struct TrainConfig {
     pub batch_size: usize,
     /// Seed for shuffling and dropout.
     pub seed: u64,
-    /// Divergence detection and rollback recovery.
-    pub watchdog: WatchdogConfig,
 }
 
 impl Default for TrainConfig {
@@ -73,7 +48,6 @@ impl Default for TrainConfig {
             lr: 1e-3,
             batch_size: 16,
             seed: 0,
-            watchdog: WatchdogConfig::default(),
         }
     }
 }
@@ -167,7 +141,7 @@ impl Trainer {
     /// gradients abort the epoch, roll back to the checkpoint, and retry —
     /// first unchanged (so a recovered run reproduces an uninterrupted one
     /// bit-for-bit after a transient fault), then with the learning rate
-    /// damped by [`WatchdogConfig::lr_backoff`] per further attempt.
+    /// halved per further attempt, for at most three retries.
     /// Recoveries are recorded in [`Trainer::recoveries`] and in the
     /// epoch's [`EpochStats::retries`].
     ///
@@ -192,7 +166,6 @@ impl Trainer {
         }
         for _ in 0..epochs {
             self.epoch += 1;
-            let wd = self.cfg.watchdog;
             // Cheap checkpoint: ParamStore clones share the value Arcs and
             // the optimizer only copies its moment buffers; the store
             // copies-on-write under optimizer steps, leaving this intact.
@@ -209,7 +182,7 @@ impl Trainer {
             }
             let mut attempt = 0usize;
             loop {
-                self.optimizer.set_learning_rate(self.retry_lr(attempt, wd));
+                self.optimizer.set_learning_rate(self.retry_lr(attempt));
                 let cause = match self.run_epoch(model, ps, samples, attempt) {
                     Ok(loss) => {
                         self.history.push(EpochStats {
@@ -230,13 +203,13 @@ impl Trainer {
                 *ps = snap_ps.clone();
                 self.optimizer = snap_opt.clone();
                 attempt += 1;
-                if attempt > wd.max_retries {
+                if attempt > MAX_RETRIES {
                     return Err(Error::Diverged {
                         epoch: self.epoch,
-                        retries: wd.max_retries,
+                        retries: MAX_RETRIES,
                     });
                 }
-                let lr_next = self.retry_lr(attempt, wd);
+                let lr_next = self.retry_lr(attempt);
                 self.obs.counter("train/watchdog_retries").inc();
                 {
                     let epoch = self.epoch;
@@ -273,53 +246,21 @@ impl Trainer {
 
     /// Restore this trainer (and `ps`) from a snapshot taken by
     /// [`snapshot`](Self::snapshot), after verifying the snapshot belongs
-    /// to this experiment.
+    /// to this experiment and can be trained on. Nothing changes when the
+    /// check fails.
     ///
     /// # Errors
     /// [`Error::ResumeMismatch`] when the snapshot's seed differs from the
-    /// configured one, or its parameters disagree with `ps` in count,
-    /// name, or shape — continuing from such a snapshot would silently
-    /// change the run.
+    /// configured one; its parameters disagree with `ps` in count, name,
+    /// or shape; its Adam moments do not fit the parameters (`m` and `v`
+    /// of different lengths or longer than the parameter list, a slot
+    /// present in one but not the other, a slot shaped unlike its
+    /// parameter); or a parameter or moment holds NaN/∞. Continuing from
+    /// such a snapshot would silently change the run or crash its next
+    /// step.
     pub fn restore(&mut self, state: &TrainState, ps: &mut ParamStore) -> Result<()> {
-        if state.seed != self.cfg.seed {
-            return Err(Error::ResumeMismatch {
-                detail: format!(
-                    "checkpoint was trained with seed {} but this experiment \
-                     uses seed {}",
-                    state.seed, self.cfg.seed
-                ),
-            });
-        }
-        if state.params.len() != ps.len() {
-            return Err(Error::ResumeMismatch {
-                detail: format!(
-                    "checkpoint holds {} parameters but the model has {}",
-                    state.params.len(),
-                    ps.len()
-                ),
-            });
-        }
-        for (id, value) in state.params.iter() {
-            let expected = ps.get(id);
-            if state.params.name(id) != ps.name(id)
-                || value.rows() != expected.rows()
-                || value.cols() != expected.cols()
-            {
-                return Err(Error::ResumeMismatch {
-                    detail: format!(
-                        "parameter {} is {:?} {}x{} in the checkpoint but \
-                         {:?} {}x{} in the model",
-                        id.0,
-                        state.params.name(id),
-                        value.rows(),
-                        value.cols(),
-                        ps.name(id),
-                        expected.rows(),
-                        expected.cols()
-                    ),
-                });
-            }
-        }
+        check_restorable(state, ps, self.cfg.seed)
+            .map_err(|detail| Error::ResumeMismatch { detail })?;
         *ps = state.params.clone();
         self.optimizer.restore_state(state.opt.clone());
         self.epoch = state.epochs_done;
@@ -330,12 +271,12 @@ impl Trainer {
 
     /// Learning rate for retry `attempt` (0-based) of an epoch: the
     /// configured rate, unchanged for the first attempt and first retry,
-    /// then damped by `lr_backoff` per further retry.
-    fn retry_lr(&self, attempt: usize, wd: WatchdogConfig) -> f32 {
+    /// then damped by [`LR_BACKOFF`] per further retry.
+    fn retry_lr(&self, attempt: usize) -> f32 {
         if attempt <= 1 {
             self.cfg.lr
         } else {
-            self.cfg.lr * wd.lr_backoff.powi(attempt as i32 - 1)
+            self.cfg.lr * LR_BACKOFF.powi(attempt as i32 - 1)
         }
     }
 
@@ -429,6 +370,82 @@ impl Trainer {
         }
         Ok(loss)
     }
+}
+
+/// Why `state` cannot be restored into a trainer seeded with `seed` whose
+/// model registered `ps`, or `Ok` when it can.
+fn check_restorable(
+    state: &TrainState,
+    ps: &ParamStore,
+    seed: u64,
+) -> std::result::Result<(), String> {
+    if state.seed != seed {
+        return Err(format!(
+            "checkpoint was trained with seed {} but this experiment uses seed {seed}",
+            state.seed
+        ));
+    }
+    if state.params.len() != ps.len() {
+        return Err(format!(
+            "checkpoint holds {} parameters but the model has {}",
+            state.params.len(),
+            ps.len()
+        ));
+    }
+    for (id, value) in state.params.iter() {
+        let expected = ps.get(id);
+        if state.params.name(id) != ps.name(id)
+            || value.rows() != expected.rows()
+            || value.cols() != expected.cols()
+        {
+            return Err(format!(
+                "parameter {} is {:?} {}x{} in the checkpoint but {:?} {}x{} in the model",
+                id.0,
+                state.params.name(id),
+                value.rows(),
+                value.cols(),
+                ps.name(id),
+                expected.rows(),
+                expected.cols()
+            ));
+        }
+        if !value.all_finite() {
+            return Err(format!("parameter {} holds a non-finite value", id.0));
+        }
+    }
+    let (m, v) = (&state.opt.m, &state.opt.v);
+    if m.len() != v.len() || m.len() > ps.len() {
+        return Err(format!(
+            "Adam holds {} first- and {} second-moment slots for {} parameters",
+            m.len(),
+            v.len(),
+            ps.len()
+        ));
+    }
+    for (i, (m, v)) in m.iter().zip(v).enumerate() {
+        match (m, v) {
+            (None, None) => {}
+            (Some(m), Some(v)) => {
+                let param = ps.get(ParamId(i));
+                for moment in [m, v] {
+                    if moment.rows() != param.rows() || moment.cols() != param.cols() {
+                        return Err(format!(
+                            "Adam moment {i} is {}x{} but its parameter is {}x{}",
+                            moment.rows(),
+                            moment.cols(),
+                            param.rows(),
+                            param.cols()
+                        ));
+                    }
+                    if !moment.all_finite() {
+                        return Err(format!("Adam moment {i} holds a non-finite value"));
+                    }
+                }
+            }
+            _ => return Err(format!("Adam moment {i} is present in only one of m and v")),
+        }
+    }
+    Ok(())
 }
 
 /// Inference micro-batch size for [`predict_probs`]: large enough to
@@ -572,6 +589,83 @@ mod tests {
         for (l, s) in labels.iter().zip(samples.iter()) {
             assert_eq!(*l, s.label);
         }
+    }
+
+    /// A one-epoch AM-DGCNN snapshot after a round trip through the
+    /// checkpoint file format, edited by `edit`, must be refused with
+    /// [`Error::ResumeMismatch`] by a fresh trainer of the same seed,
+    /// leaving the trainer and the parameters as they were.
+    fn assert_restore_refuses(edit: impl FnOnce(&mut TrainState)) {
+        use crate::checkpoint::{encode_train_state, load_train_state};
+        let (model, mut ps, samples) = tiny_setup(GnnKind::am_dgcnn());
+        let mut trainer = Trainer::new(TrainConfig::default());
+        trainer.train(&model, &mut ps, &samples, 1).expect("train");
+        let mut state = trainer.snapshot(&ps);
+        edit(&mut state);
+        let state = load_train_state(&encode_train_state(&state)).expect("checksums hold");
+
+        let (_, mut fresh_ps, _) = tiny_setup(GnnKind::am_dgcnn());
+        let before = amdgcnn_tensor::io::params_digest(&fresh_ps);
+        let mut fresh = Trainer::new(TrainConfig::default());
+        let err = fresh.restore(&state, &mut fresh_ps).unwrap_err();
+        assert!(matches!(err, Error::ResumeMismatch { .. }), "{err:?}");
+        assert_eq!(fresh.epochs_done(), 0);
+        assert!(fresh.history.is_empty());
+        assert_eq!(fresh.optimizer.steps(), 0);
+        assert_eq!(amdgcnn_tensor::io::params_digest(&fresh_ps), before);
+    }
+
+    /// Index of the first Adam slot the snapshot's epoch filled.
+    fn first_moment(state: &TrainState) -> usize {
+        state
+            .opt
+            .m
+            .iter()
+            .position(Option::is_some)
+            .expect("one epoch fills a moment")
+    }
+
+    #[test]
+    fn restore_refuses_moment_lists_of_different_lengths() {
+        assert_restore_refuses(|s| s.opt.v.truncate(1));
+    }
+
+    #[test]
+    fn restore_refuses_more_moment_slots_than_parameters() {
+        assert_restore_refuses(|s| {
+            s.opt.m.push(None);
+            s.opt.v.push(None);
+        });
+    }
+
+    #[test]
+    fn restore_refuses_a_moment_present_in_only_one_list() {
+        assert_restore_refuses(|s| {
+            let i = first_moment(s);
+            s.opt.v[i] = None;
+        });
+    }
+
+    #[test]
+    fn restore_refuses_a_moment_shaped_unlike_its_parameter() {
+        assert_restore_refuses(|s| {
+            let i = first_moment(s);
+            s.opt.m[i] = Some(Matrix::zeros(1, 1));
+        });
+    }
+
+    #[test]
+    fn restore_refuses_non_finite_parameters() {
+        assert_restore_refuses(|s| s.params.update(ParamId(0), |m| m.set(0, 0, f32::NAN)));
+    }
+
+    #[test]
+    fn restore_refuses_non_finite_moments() {
+        assert_restore_refuses(|s| {
+            let i = first_moment(s);
+            let v = s.opt.v[i].as_mut().expect("v pairs with m");
+            v.set(0, 0, f32::INFINITY);
+        });
     }
 
     #[test]

@@ -1,21 +1,22 @@
-//! Crash-safe checkpointing guarantees, end to end through the pipeline:
-//! a run interrupted at an arbitrary epoch and resumed from disk ends up
-//! **bit-identical** to a run that never stopped; injected disk faults
-//! (torn write, bit flip, partial flush) on any checkpoint save leave the
+//! Crash-safe checkpointing guarantees on the one checkpoint path, the
+//! loop a training program runs: `Trainer::train(.., 1)` then
+//! `CheckpointDir::save`, and `CheckpointDir::latest` + `Trainer::restore`
+//! to resume. A run interrupted at an arbitrary epoch and resumed from
+//! disk ends up **bit-identical** to a run that never stopped; injected
+//! disk faults (torn write, bit flip, partial flush) on any save leave the
 //! previous generation loadable and the resumed run still exact; and
-//! checkpoints that don't belong to the experiment are refused with typed
-//! errors.
+//! checkpoints that don't belong to the run are refused with typed errors.
 
+use am_dgcnn::error::Result;
 use am_dgcnn::{
-    CheckpointDir, Error, Experiment, ExperimentBuilder, FaultInjector, FaultPlan, GnnKind,
-    Hyperparams,
+    CheckpointDir, Error, Experiment, FaultInjector, FaultPlan, GnnKind, Hyperparams, Session,
 };
 use amdgcnn_data::{wn18_like, Dataset, Wn18Config};
 use amdgcnn_tensor::io::params_digest;
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 const SEED: u64 = 11;
 const FULL_EPOCHS: usize = 4;
@@ -24,16 +25,17 @@ fn dataset() -> Dataset {
     wn18_like(&Wn18Config::tiny())
 }
 
-fn scratch_dir(tag: &str) -> PathBuf {
+fn scratch_dir(tag: &str) -> CheckpointDir {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
-    std::env::temp_dir().join(format!(
+    let path: PathBuf = std::env::temp_dir().join(format!(
         "amdgcnn-crash-resume-{tag}-{}-{}",
         std::process::id(),
         COUNTER.fetch_add(1, Ordering::Relaxed)
-    ))
+    ));
+    CheckpointDir::create(path).expect("checkpoint dir")
 }
 
-fn builder(seed: u64) -> ExperimentBuilder {
+fn session(ds: &Dataset, seed: u64) -> Session {
     Experiment::builder()
         .gnn(GnnKind::am_dgcnn())
         .hyper(Hyperparams {
@@ -42,18 +44,55 @@ fn builder(seed: u64) -> ExperimentBuilder {
             sort_k: 10,
         })
         .seed(seed)
+        .build()
+        .session(ds, None)
+        .expect("session")
 }
 
-/// Train to each target with checkpointing into `dir`, returning the final
-/// parameter digest read back from the newest on-disk generation.
-fn run_checkpointed(ds: &Dataset, exp: Experiment, dir: &PathBuf, targets: &[usize]) -> (u64, u32) {
-    exp.run_session(exp.session(ds, None).expect("session"), targets)
-        .expect("run");
-    let (generation, state) = CheckpointDir::create(dir)
-        .expect("dir")
-        .latest()
-        .expect("latest")
-        .expect("checkpoint present");
+/// Train `s` one epoch at a time up to `target` epochs, saving a
+/// generation (two kept) after every `every`-th epoch. Each save takes
+/// its disk fault, if any, from `injector`.
+fn train_saving(
+    s: &mut Session,
+    dir: &CheckpointDir,
+    target: usize,
+    every: usize,
+    injector: Option<&FaultInjector>,
+) {
+    while s.trainer.epochs_done() < target {
+        s.trainer
+            .train(&s.model, &mut s.ps, &s.train_samples, 1)
+            .expect("train");
+        if s.trainer.epochs_done().is_multiple_of(every) {
+            let fault = injector.and_then(FaultInjector::next_disk_fault);
+            dir.save(&s.trainer.snapshot(&s.ps), 2, fault)
+                .expect("save");
+        }
+    }
+}
+
+/// A fresh session at `seed` with the newest loadable generation of `dir`
+/// restored into it (none: a fresh start).
+fn resume(ds: &Dataset, seed: u64, dir: &CheckpointDir) -> Result<Session> {
+    let mut s = session(ds, seed);
+    if let Some((_, state)) = dir.latest()? {
+        s.trainer.restore(&state, &mut s.ps)?;
+    }
+    Ok(s)
+}
+
+/// Resume from `dir`, train to `FULL_EPOCHS` saving every epoch, and
+/// return the newest generation's number and parameter digest as read
+/// back from disk.
+fn resume_to_the_end(ds: &Dataset, dir: &CheckpointDir) -> (u64, u32) {
+    let mut s = resume(ds, SEED, dir).expect("resume");
+    train_saving(&mut s, dir, FULL_EPOCHS, 1, None);
+    let (generation, state) = dir.latest().expect("latest").expect("present");
+    assert_eq!(
+        params_digest(&state.params),
+        params_digest(&s.ps),
+        "the newest generation holds the trained parameters"
+    );
     (generation, params_digest(&state.params))
 }
 
@@ -64,11 +103,11 @@ fn reference_digest() -> u32 {
     static DIGEST: OnceLock<u32> = OnceLock::new();
     *DIGEST.get_or_init(|| {
         let ds = dataset();
-        let dir = scratch_dir("reference");
-        let exp = builder(SEED).checkpoint_to(&dir, 1).build();
-        let (generation, digest) = run_checkpointed(&ds, exp, &dir, &[FULL_EPOCHS]);
-        assert_eq!(generation, FULL_EPOCHS as u64);
-        digest
+        let mut s = session(&ds, SEED);
+        s.trainer
+            .train(&s.model, &mut s.ps, &s.train_samples, FULL_EPOCHS)
+            .expect("train");
+        params_digest(&s.ps)
     })
 }
 
@@ -77,23 +116,14 @@ fn resumed_run_is_bit_identical_to_uninterrupted() {
     let ds = dataset();
     let dir = scratch_dir("plain");
 
-    // "Crash" after epoch 3 with checkpoints every 2 epochs: the newest
-    // durable generation is 2, so the resume loses epoch 3 and replays it.
-    let exp = builder(SEED).checkpoint_to(&dir, 2).build();
-    exp.run_session(exp.session(&ds, None).expect("session"), &[3])
-        .expect("interrupted run");
-    let (generation, _) = CheckpointDir::create(&dir)
-        .expect("dir")
-        .latest()
-        .expect("latest")
-        .expect("present");
+    // "Crash" after epoch 3 with saves every 2 epochs: the newest durable
+    // generation is 2, so the resume loses epoch 3 and replays it.
+    let mut s = session(&ds, SEED);
+    train_saving(&mut s, &dir, 3, 2, None);
+    let (generation, _) = dir.latest().expect("latest").expect("present");
     assert_eq!(generation, 2, "epoch 3 was never durably saved");
 
-    let resumed = builder(SEED)
-        .checkpoint_to(&dir, 2)
-        .resume_from(&dir)
-        .build();
-    let (generation, digest) = run_checkpointed(&ds, resumed, &dir, &[FULL_EPOCHS]);
+    let (generation, digest) = resume_to_the_end(&ds, &dir);
     assert_eq!(generation, FULL_EPOCHS as u64);
     assert_eq!(
         digest,
@@ -106,18 +136,15 @@ fn resumed_run_is_bit_identical_to_uninterrupted() {
 fn resume_restores_history_and_epoch_counter() {
     let ds = dataset();
     let dir = scratch_dir("history");
-    let exp = builder(SEED).checkpoint_to(&dir, 1).build();
-    exp.run_session(exp.session(&ds, None).expect("session"), &[2])
-        .expect("first run");
+    let mut first = session(&ds, SEED);
+    train_saving(&mut first, &dir, 2, 1, None);
 
-    let session = builder(SEED)
-        .resume_from(&dir)
-        .build()
-        .session(&ds, None)
-        .expect("resumed session");
-    assert_eq!(session.trainer.epochs_done(), 2);
-    assert_eq!(session.trainer.history.len(), 2);
-    assert!(session.trainer.history.iter().all(|e| e.loss.is_finite()));
+    let resumed = resume(&ds, SEED, &dir).expect("resumed session");
+    assert_eq!(resumed.trainer.epochs_done(), 2);
+    let losses =
+        |s: &Session| -> Vec<u32> { s.trainer.history.iter().map(|e| e.loss.to_bits()).collect() };
+    assert_eq!(losses(&resumed).len(), 2);
+    assert_eq!(losses(&resumed), losses(&first));
 }
 
 #[test]
@@ -147,16 +174,11 @@ fn disk_faults_on_saves_fall_back_and_resume_stays_exact() {
     ] {
         let ds = dataset();
         let dir = scratch_dir(tag);
-        // Checkpoint every epoch; the third save (epoch 3) is hit by the
-        // fault, so the newest loadable generation must be epoch 2.
-        let exp = builder(SEED)
-            .checkpoint_to(&dir, 1)
-            .fault_injector(Arc::new(FaultInjector::new(plan)))
-            .build();
-        exp.run_session(exp.session(&ds, None).expect("session"), &[3])
-            .expect("faulted run still trains");
-        let (generation, _) = CheckpointDir::create(&dir)
-            .expect("dir")
+        // Save every epoch; the third save (epoch 3) is hit by the fault,
+        // so the newest loadable generation must be epoch 2.
+        let mut s = session(&ds, SEED);
+        train_saving(&mut s, &dir, 3, 1, Some(&FaultInjector::new(plan)));
+        let (generation, _) = dir
             .latest()
             .expect("latest must fall back, not fail")
             .expect("present");
@@ -164,11 +186,7 @@ fn disk_faults_on_saves_fall_back_and_resume_stays_exact() {
 
         // Resuming from the fallback replays epoch 3+ and still lands on
         // the uninterrupted run's exact parameters.
-        let resumed = builder(SEED)
-            .checkpoint_to(&dir, 1)
-            .resume_from(&dir)
-            .build();
-        let (generation, digest) = run_checkpointed(&ds, resumed, &dir, &[FULL_EPOCHS]);
+        let (generation, digest) = resume_to_the_end(&ds, &dir);
         assert_eq!(generation, FULL_EPOCHS as u64, "{tag}");
         assert_eq!(digest, reference_digest(), "{tag}: resume must stay exact");
     }
@@ -178,15 +196,10 @@ fn disk_faults_on_saves_fall_back_and_resume_stays_exact() {
 fn resume_with_wrong_seed_is_refused() {
     let ds = dataset();
     let dir = scratch_dir("seed");
-    let exp = builder(SEED).checkpoint_to(&dir, 1).build();
-    exp.run_session(exp.session(&ds, None).expect("session"), &[1])
-        .expect("first run");
+    let mut s = session(&ds, SEED);
+    train_saving(&mut s, &dir, 1, 1, None);
 
-    let err = match builder(SEED + 1)
-        .resume_from(&dir)
-        .build()
-        .session(&ds, None)
-    {
+    let err = match resume(&ds, SEED + 1, &dir) {
         Err(e) => e,
         Ok(_) => panic!("wrong seed must be refused"),
     };
@@ -198,17 +211,14 @@ fn all_generations_corrupt_is_a_typed_error_not_a_fresh_start() {
     let ds = dataset();
     let dir = scratch_dir("allbad");
     // The only save ever made is torn.
-    let exp = builder(SEED)
-        .checkpoint_to(&dir, 1)
-        .fault_injector(Arc::new(FaultInjector::new(FaultPlan {
-            torn_write_saves: vec![1],
-            ..FaultPlan::default()
-        })))
-        .build();
-    exp.run_session(exp.session(&ds, None).expect("session"), &[1])
-        .expect("run");
+    let mut s = session(&ds, SEED);
+    let injector = FaultInjector::new(FaultPlan {
+        torn_write_saves: vec![1],
+        ..FaultPlan::default()
+    });
+    train_saving(&mut s, &dir, 1, 1, Some(&injector));
 
-    let err = match builder(SEED).resume_from(&dir).build().session(&ds, None) {
+    let err = match resume(&ds, SEED, &dir) {
         Err(e) => e,
         Ok(_) => panic!("an unloadable checkpoint dir must not silently restart"),
     };
@@ -219,38 +229,28 @@ fn all_generations_corrupt_is_a_typed_error_not_a_fresh_start() {
 fn empty_checkpoint_dir_starts_fresh() {
     let ds = dataset();
     let dir = scratch_dir("fresh");
-    let session = builder(SEED)
-        .resume_from(&dir)
-        .build()
-        .session(&ds, None)
-        .expect("empty dir resumes as a fresh run");
-    assert_eq!(session.trainer.epochs_done(), 0);
+    let s = resume(&ds, SEED, &dir).expect("empty dir resumes as a fresh run");
+    assert_eq!(s.trainer.epochs_done(), 0);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The tentpole property: interrupt at *any* epoch, with *any*
-    /// checkpoint cadence, and the resumed run's final parameters are
-    /// bit-identical to the uninterrupted run's.
+    /// The central property: interrupt at *any* epoch, with *any* save
+    /// cadence, and the resumed run's final parameters are bit-identical
+    /// to the uninterrupted run's.
     #[test]
-    fn resume_from_any_interrupt_point_is_bit_identical(
+    fn resume_at_any_interrupt_point_is_bit_identical(
         interrupt in 1usize..FULL_EPOCHS,
         every in 1usize..3,
     ) {
         let ds = dataset();
         let dir = scratch_dir("prop");
-        let exp = builder(SEED).checkpoint_to(&dir, every).build();
-        exp.run_session(exp.session(&ds, None).expect("session"), &[interrupt])
-            .expect("interrupted run");
-        // A crash between checkpoint cadence points may not have saved the
-        // latest epochs; resume replays whatever was lost.
-        let resumed = builder(SEED)
-            .checkpoint_to(&dir, 1)
-            .resume_from(&dir)
-            .build();
-        let (generation, digest) =
-            run_checkpointed(&ds, resumed, &dir, &[FULL_EPOCHS]);
+        let mut s = session(&ds, SEED);
+        // A crash between save points may not have saved the latest
+        // epochs; resume replays whatever was lost.
+        train_saving(&mut s, &dir, interrupt, every, None);
+        let (generation, digest) = resume_to_the_end(&ds, &dir);
         prop_assert_eq!(generation, FULL_EPOCHS as u64);
         prop_assert_eq!(digest, reference_digest());
     }

@@ -1,12 +1,12 @@
 //! Divergence-watchdog guarantees, exercised through deterministic fault
 //! injection: a transiently diverging run rolls back, replays, and ends up
 //! bit-identical to an uninterrupted run; persistent divergence exhausts
-//! the retry budget with damped learning rates and leaves finite
-//! parameters; a corrupted rollback checkpoint is detected, not restored.
+//! the fixed budget of three retries, with the learning rate halved from
+//! the second retry on, and leaves finite parameters; a corrupted rollback checkpoint is detected, not restored.
 
 use am_dgcnn::{
     predict_probs, DivergenceCause, Error, Experiment, FaultInjector, FaultPlan, GnnKind,
-    Hyperparams, Session, WatchdogConfig,
+    Hyperparams, Session,
 };
 use amdgcnn_data::{wn18_like, Dataset, Wn18Config};
 use std::sync::Arc;
@@ -17,7 +17,7 @@ fn dataset() -> Dataset {
     wn18_like(&Wn18Config::tiny())
 }
 
-fn session(ds: &Dataset, watchdog: WatchdogConfig) -> Session {
+fn session(ds: &Dataset) -> Session {
     Experiment::builder()
         .gnn(GnnKind::am_dgcnn())
         .hyper(Hyperparams {
@@ -26,7 +26,6 @@ fn session(ds: &Dataset, watchdog: WatchdogConfig) -> Session {
             sort_k: 10,
         })
         .seed(11)
-        .watchdog(watchdog)
         .build()
         .session(ds, None)
         .expect("session")
@@ -34,11 +33,10 @@ fn session(ds: &Dataset, watchdog: WatchdogConfig) -> Session {
 
 fn train_with(
     ds: &Dataset,
-    watchdog: WatchdogConfig,
     plan: Option<FaultPlan>,
     epochs: usize,
 ) -> (Session, am_dgcnn::error::Result<()>) {
-    let mut s = session(ds, watchdog);
+    let mut s = session(ds);
     if let Some(plan) = plan {
         s.trainer
             .attach_fault_injector(Arc::new(FaultInjector::new(plan)));
@@ -55,13 +53,11 @@ fn train_with(
 #[test]
 fn transient_divergence_recovers_to_identical_metrics() {
     let ds = dataset();
-    let wd = WatchdogConfig::default();
 
-    let (clean, ok) = train_with(&ds, wd, None, 6);
+    let (clean, ok) = train_with(&ds, None, 6);
     ok.expect("clean train");
     let (faulted, ok) = train_with(
         &ds,
-        wd,
         Some(FaultPlan {
             nan_loss_epochs: vec![3],
             ..FaultPlan::default()
@@ -97,13 +93,8 @@ fn transient_divergence_recovers_to_identical_metrics() {
 #[test]
 fn persistent_divergence_exhausts_retries_with_damped_lr() {
     let ds = dataset();
-    let wd = WatchdogConfig {
-        max_retries: 2,
-        ..WatchdogConfig::default()
-    };
     let (s, outcome) = train_with(
         &ds,
-        wd,
         Some(FaultPlan {
             persistent_nan_loss_epochs: vec![2],
             ..FaultPlan::default()
@@ -114,16 +105,15 @@ fn persistent_divergence_exhausts_retries_with_damped_lr() {
         outcome.unwrap_err(),
         Error::Diverged {
             epoch: 2,
-            retries: 2
+            retries: 3
         }
     );
     // Epoch 1 completed; epoch 2 never did.
     assert_eq!(s.trainer.history.len(), 1);
-    // Both retries were recorded: the first replays unchanged, the second
-    // damps the learning rate.
-    assert_eq!(s.trainer.recoveries.len(), 2);
-    assert_eq!(s.trainer.recoveries[0].lr_next, LR);
-    assert_eq!(s.trainer.recoveries[1].lr_next, LR * wd.lr_backoff);
+    // All three retries were recorded: the first replays unchanged, each
+    // later one halves the learning rate.
+    let lrs: Vec<f32> = s.trainer.recoveries.iter().map(|r| r.lr_next).collect();
+    assert_eq!(lrs, [LR, LR * 0.5, LR * 0.25]);
     // The caller is left holding the rolled-back (finite) checkpoint, not
     // the diverged parameters.
     assert!(s.ps.all_finite());
@@ -134,7 +124,6 @@ fn corrupted_checkpoint_is_detected_instead_of_restored() {
     let ds = dataset();
     let (_, outcome) = train_with(
         &ds,
-        WatchdogConfig::default(),
         Some(FaultPlan {
             nan_loss_epochs: vec![2],
             corrupt_checkpoint_epochs: vec![2],

@@ -8,8 +8,9 @@
 
 use am_dgcnn::obs::Obs;
 use am_dgcnn::{
-    predict_probs, prepare_batch, Error, Experiment, ExperimentBuilder, FaultInjector, FaultPlan,
-    FeatureConfig, GnnKind, Hyperparams, PreparedSample, SampleStore, Session, StoreKey,
+    predict_probs, prepare_batch, CheckpointDir, Error, Experiment, ExperimentBuilder,
+    FaultInjector, FaultPlan, FeatureConfig, GnnKind, Hyperparams, PreparedSample, SampleStore,
+    Session, StoreKey,
 };
 use amdgcnn_data::{wn18_like, Wn18Config};
 use amdgcnn_tensor::durable::DiskFault;
@@ -235,7 +236,7 @@ proptest! {
 fn resumed_run_hits_store_for_train_and_eval_samples() {
     let ds = wn18_like(&Wn18Config::tiny());
     let store_path = scratch_dir("resume").join("samples.amss");
-    let ckpt_dir = scratch_dir("resume-ckpt");
+    let ckpt_dir = CheckpointDir::create(scratch_dir("resume-ckpt")).expect("checkpoint dir");
 
     // Storeless uninterrupted reference.
     let (ref_digest, ref_probs) = train_and_fingerprint(
@@ -245,18 +246,21 @@ fn resumed_run_hits_store_for_train_and_eval_samples() {
             .expect("reference session"),
     );
 
-    // Cold store-backed run: every sample is a miss, then persisted.
+    // Cold store-backed run: every sample is a miss, then persisted; the
+    // trained state is saved as a checkpoint generation.
     let cold_obs = Obs::enabled();
-    let cold = builder(SEED)
+    let mut cold = builder(SEED)
         .sample_store(&store_path)
-        .checkpoint_to(&ckpt_dir, 1)
         .observe(cold_obs.clone())
-        .build();
-    cold.run_session(
-        cold.session(&ds, Some(TRAIN_SUBSET)).expect("cold session"),
-        &[EPOCHS],
-    )
-    .expect("cold run");
+        .build()
+        .session(&ds, Some(TRAIN_SUBSET))
+        .expect("cold session");
+    cold.trainer
+        .train(&cold.model, &mut cold.ps, &cold.train_samples, EPOCHS)
+        .expect("cold run");
+    ckpt_dir
+        .save(&cold.trainer.snapshot(&cold.ps), 2, None)
+        .expect("save");
     let total = (TRAIN_SUBSET + ds.test.len()) as u64;
     assert_eq!(
         cold_obs.counter("pipeline/prefetch/store_miss").get(),
@@ -267,14 +271,17 @@ fn resumed_run_hits_store_for_train_and_eval_samples() {
     // Resume: preparation is skipped entirely — all hits, zero misses —
     // and training continues bit-identically.
     let warm_obs = Obs::enabled();
-    let resumed = builder(SEED)
+    let mut session = builder(SEED)
         .sample_store(&store_path)
-        .resume_from(&ckpt_dir)
         .observe(warm_obs.clone())
-        .build();
-    let session = resumed
+        .build()
         .session(&ds, Some(TRAIN_SUBSET))
-        .expect("resumed session");
+        .expect("warm session");
+    let (_, state) = ckpt_dir.latest().expect("latest").expect("present");
+    session
+        .trainer
+        .restore(&state, &mut session.ps)
+        .expect("restore");
     assert_eq!(
         session.trainer.epochs_done(),
         EPOCHS,
